@@ -81,6 +81,7 @@ from .oracle import (
 )
 from .selection import (
     kernel_backend,
+    select_rows,
     smallest_radius_at_weight,
     weighted_median,
     weighted_quantile_radius,
@@ -154,6 +155,7 @@ __all__ = [
     "save_instance",
     "scale_base",
     "scale_count",
+    "select_rows",
     "smallest_radius_at_weight",
     "validate_norm_axioms",
     "verify_ball",

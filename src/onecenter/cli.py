@@ -269,9 +269,6 @@ def cmd_solve(args) -> int:
         _emit(doc, args.output, started)
         return 0 if ok else 2
 
-    if space != "normed" and solver in ("halfplus", "any-alpha", "logtower"):
-        # the lp tag still carries coordinates; allow it for convenience
-        pass
     ball, constant, used_r = _normed_single(solver, ps, ops, alpha, args, inst)
     if ball is None:
         doc.update({"r": used_r, "verified": False, "found": False})

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import WeightedPointSet, covered_weight
 from .cover import gap_constant
@@ -238,6 +237,10 @@ def generate_planted(
 
 
 def _distance_matrix(coords: np.ndarray, p: float) -> np.ndarray:
+    # imported here: scipy costs most of the package's import time and
+    # only the metric generator needs it
+    from scipy.spatial.distance import cdist
+
     if math.isinf(p):
         return cdist(coords, coords, metric="chebyshev")
     if p == 1.0:

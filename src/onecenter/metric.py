@@ -18,7 +18,7 @@ import numpy as np
 from .core import CandidateBall, WeightedPointSet, require_positive_weight
 from .errors import ArgumentError, UnsupportedFractionError
 from .oracle import DistanceOracle, PaddedOracle
-from .selection import smallest_radius_at_weight
+from .selection import best_candidate
 
 _TIE_EPS = 1e-12  # loop caps only; never used in comparisons
 
@@ -94,14 +94,9 @@ def _halfplus_range(
             for j in range(m)
         ]
     eval_idx = np.arange(lo, hi)
-    best_i = -1
-    best_s = math.inf
-    for c in candidates:
-        d = oracle.dist_many(c, eval_idx)
-        s = smallest_radius_at_weight(d, block_w, y)
-        if s < best_s or (s == best_s and c < best_i):
-            best_i = c
-            best_s = s
+    best_i, best_s, _ = best_candidate(
+        lambda chunk: oracle.dist_block(chunk, eval_idx), candidates, block_w, y
+    )
     return best_i, best_s
 
 
@@ -170,15 +165,10 @@ def _cover_range(
                 ]
             if not candidates:
                 break
-        best_i = -1
-        best_s = math.inf
-        best_d = None
-        for c in candidates:
-            d = oracle.dist_many(c, eval_idx)
-            s = smallest_radius_at_weight(d, w_local, y)
-            if s < best_s or (s == best_s and c < best_i):
-                best_i, best_s, best_d = c, s, d
-        if best_d is None or not math.isfinite(best_s):
+        best_i, best_s, best_d = best_candidate(
+            lambda chunk: oracle.dist_block(chunk, eval_idx), candidates, w_local, y
+        )
+        if best_d is None:
             break
         out.append((best_i, best_s))
         w_local[best_d <= best_s] = 0.0

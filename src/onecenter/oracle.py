@@ -2,11 +2,11 @@
 
 Metric-space solvers see points only through an oracle; the query
 counter is the complexity measure those solvers are benchmarked on.
-Each scalar distance evaluation costs one query and a batched row of k
-distances costs k.  There is deliberately no global memoization: counts
-must reflect what a from-scratch run would pay.  ``MemoizedOracle``
-exists separately for callers that want caching and know it skews
-counts.
+Each scalar distance evaluation costs one query, a batched row of k
+distances costs k, and a block of r rows by c columns costs r * c.
+There is deliberately no global memoization: counts must reflect what a
+from-scratch run would pay.  ``MemoizedOracle`` exists separately for
+callers that want caching and know it skews counts.
 """
 
 from __future__ import annotations
@@ -51,11 +51,23 @@ class DistanceOracle(ABC):
         if not 0 <= i < self._size:
             raise ArgumentError(f"point index {i} out of range [0, {self._size})")
 
+    def _check_indices(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self._size):
+            raise ArgumentError("point index out of range")
+        return idx
+
     @abstractmethod
     def _dist_impl(self, i: int, j: int) -> float: ...
 
     def _dist_many_impl(self, i: int, idx: np.ndarray) -> np.ndarray:
         return np.array([self._dist_impl(i, int(j)) for j in idx], dtype=np.float64)
+
+    def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.empty((rows.size, cols.size), dtype=np.float64)
+        for k, i in enumerate(rows):
+            out[k] = self._dist_many_impl(int(i), cols)
+        return out
 
     def dist(self, i: int, j: int) -> float:
         """Distance between points i and j; costs exactly one query."""
@@ -67,15 +79,36 @@ class DistanceOracle(ABC):
     def dist_many(self, i: int, idx) -> np.ndarray:
         """Distances from i to each index in idx; costs len(idx) queries."""
         self._check_index(i)
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._size):
-            raise ArgumentError("point index out of range")
+        idx = self._check_indices(idx)
         self._bump(int(idx.size))
         return self._dist_many_impl(i, idx)
+
+    def dist_block(self, rows, cols) -> np.ndarray:
+        """len(rows) x len(cols) distances; costs len(rows) * len(cols) queries."""
+        rows = self._check_indices(rows)
+        cols = self._check_indices(cols)
+        if rows.ndim != 1 or cols.ndim != 1:
+            raise ArgumentError("block rows and columns must be one-dimensional")
+        self._bump(int(rows.size) * int(cols.size))
+        return self._dist_block_impl(rows, cols)
 
     def sweep(self, i: int) -> np.ndarray:
         """Distances from i to every point; costs size queries."""
         return self.dist_many(i, np.arange(self._size))
+
+
+_SYMMETRY_TILE = 256
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    # tile against mirrored tile, so the transposed reads stay in cache
+    n = m.shape[0]
+    b = _SYMMETRY_TILE
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            if not np.array_equal(m[i : i + b, j : j + b], m[j : j + b, i : i + b].T):
+                return False
+    return True
 
 
 def _triangle_violation(m: np.ndarray) -> float:
@@ -114,7 +147,7 @@ class MatrixOracle(DistanceOracle):
                 raise ArgumentError("distances must be nonnegative")
             if np.any(np.diagonal(matrix) != 0):
                 raise ArgumentError("distance matrix diagonal must be zero")
-            if not np.array_equal(matrix, matrix.T):
+            if not _is_symmetric(matrix):
                 raise ArgumentError("distance matrix must be symmetric")
             if validate == "full" or matrix.shape[0] <= self.AUTO_TRIANGLE_LIMIT:
                 worst = _triangle_violation(matrix)
@@ -130,6 +163,9 @@ class MatrixOracle(DistanceOracle):
 
     def _dist_many_impl(self, i: int, idx: np.ndarray) -> np.ndarray:
         return self.matrix[i, idx].astype(np.float64, copy=True)
+
+    def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.matrix[np.ix_(rows, cols)]
 
 
 class CallableOracle(DistanceOracle):
@@ -163,6 +199,9 @@ class PaddedOracle(DistanceOracle):
     def _map(self, i: int) -> int:
         return i if i < self.base.size else 0
 
+    def _map_many(self, idx: np.ndarray) -> np.ndarray:
+        return np.where(idx < self.base.size, idx, 0)
+
     @property
     def query_count(self) -> int:
         return self.base.query_count
@@ -177,11 +216,13 @@ class PaddedOracle(DistanceOracle):
 
     def dist_many(self, i: int, idx) -> np.ndarray:
         self._check_index(i)
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
-            raise ArgumentError("point index out of range")
-        mapped = np.where(idx < self.base.size, idx, 0)
-        return self.base.dist_many(self._map(i), mapped)
+        idx = self._check_indices(idx)
+        return self.base.dist_many(self._map(i), self._map_many(idx))
+
+    def dist_block(self, rows, cols) -> np.ndarray:
+        rows = self._check_indices(rows)
+        cols = self._check_indices(cols)
+        return self.base.dist_block(self._map_many(rows), self._map_many(cols))
 
     def _dist_impl(self, i: int, j: int) -> float:  # pragma: no cover
         return self.base._dist_impl(self._map(i), self._map(j))

@@ -78,15 +78,20 @@ def _clean(values, weights) -> tuple[np.ndarray, np.ndarray]:
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if v.ndim != 1 or w.ndim != 1:
         raise ArgumentError("values and weights must be one-dimensional")
-    if v.shape[0] != w.shape[0]:
+    _check_values(v, w)
+    return v, w
+
+
+def _check_values(v: np.ndarray, w: np.ndarray) -> None:
+    # v is one row or a block of rows, each as long as w
+    if v.shape[-1] != w.shape[0]:
         raise ArgumentError("values and weights differ in length")
-    if v.shape[0] == 0:
+    if v.shape[-1] == 0:
         raise ArgumentError("empty input")
     if not np.all(np.isfinite(v)):
         raise ArgumentError("values must be finite")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ArgumentError("weights must be finite and nonnegative")
-    return v, w
 
 
 def weighted_median(values, weights) -> float:
@@ -114,6 +119,93 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
     if target_weight <= 0.0:
         return float(np.min(v))
     return _select(v, w, float(target_weight))
+
+
+def _stable_order(v: np.ndarray) -> np.ndarray:
+    """``np.argsort(v, axis=1, kind="stable")``, computed faster.
+
+    The default sort is several times faster than the stable one but may
+    order equal values arbitrarily; putting each run of equal values back
+    in index order yields exactly the stable permutation.
+    """
+    order = np.argsort(v, axis=1)
+    ranked = np.take_along_axis(v, order, axis=1)
+    starts = ranked[:, 1:] != ranked[:, :-1]
+    if starts.all():
+        return order
+    # sorting within a run leaves each position's run number unchanged
+    group = np.zeros(v.shape, dtype=np.intp)
+    np.cumsum(starts, axis=1, out=group[:, 1:])
+    group *= v.shape[1]
+    key = group + order
+    key.sort(axis=1, kind="stable")  # runs are few; nearly sorted input
+    key -= group
+    return key
+
+
+def select_rows(distances, weights, target_weight: float) -> np.ndarray:
+    """Row-wise ``smallest_radius_at_weight`` over a block of distances.
+
+    ``out[i]`` equals ``smallest_radius_at_weight(distances[i], weights,
+    target_weight)`` bit for bit, including the ``inf`` and row-minimum
+    edge cases.  The block and the weights are validated once, with the
+    same errors as the scalar function.  Under the compiled backend each
+    row goes through the kernel; otherwise one stable argsort and one
+    cumsum run along axis 1.
+    """
+    v = np.ascontiguousarray(distances, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if v.ndim != 2 or w.ndim != 1:
+        raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
+    _check_values(v, w)
+    total = float(np.sum(w))
+    if target_weight > total:
+        return np.full(v.shape[0], math.inf)
+    if target_weight <= 0.0:
+        return np.min(v, axis=1)
+    target = float(target_weight)
+    if _ACTIVE_BACKEND == "cython":
+        return np.array([_kernel_select(row, w, target) for row in v], dtype=np.float64)
+    order = _stable_order(v)
+    reached = np.cumsum(w[order], axis=1) >= target
+    # first index whose cumsum reaches the target; the last one when
+    # rounding leaves the whole row short (cumsums never decrease)
+    pick = np.where(reached[:, -1], np.argmax(reached, axis=1), v.shape[1] - 1)
+    rows = np.arange(v.shape[0])
+    return v[rows, order[rows, pick]]
+
+
+# Element budget of one candidate block in ``best_candidate``: a few MB
+# of distances, argsort indices and cumsums, whatever n is.
+BLOCK_ELEMS = 1 << 18
+
+
+def best_candidate(fetch, candidates, weights, target_weight: float):
+    """Candidate with the smallest ``smallest_radius_at_weight`` radius.
+
+    ``fetch(chunk)`` returns the ``len(chunk) x len(weights)`` distance
+    rows of the candidate indices in ``chunk``; candidates are fetched in
+    chunks of at most ``BLOCK_ELEMS`` elements and scored with
+    ``select_rows``.  Ties go to the lowest candidate index, whatever the
+    order of ``candidates``.  Returns ``(index, radius, row)``, or
+    ``(-1, inf, None)`` when there are no candidates or every radius is
+    ``inf``.
+    """
+    cand = np.asarray(candidates, dtype=np.intp).reshape(-1)
+    step = max(1, BLOCK_ELEMS // max(1, len(weights)))
+    best_i, best_s, best_row = -1, math.inf, None
+    for lo in range(0, cand.size, step):
+        chunk = cand[lo : lo + step]
+        block = fetch(chunk)
+        radii = select_rows(block, weights, target_weight)
+        s = float(np.min(radii))
+        if s == math.inf or s > best_s:
+            continue
+        tied = np.flatnonzero(radii == s)
+        k = int(tied[np.argmin(chunk[tied])])
+        if s < best_s or chunk[k] < best_i:
+            best_i, best_s, best_row = int(chunk[k]), s, block[k]
+    return best_i, best_s, best_row
 
 
 def weighted_quantile_radius(distances, weights, alpha: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .core import CandidateBall, WeightedPointSet, covered_weight, require_positive_weight
 from .errors import ArgumentError
 from .oracle import DistanceOracle
-from .selection import smallest_radius_at_weight
+from .selection import best_candidate
 from .spaces import NormedSpaceOps
 
 VERIFY_REL_TOL = 1e-12
@@ -47,23 +47,6 @@ def verify_ball(
     return bool(ok), float(covered)
 
 
-def _best_center_by_index(dist_rows, weights: np.ndarray, target: float) -> tuple[int, float]:
-    """Shared comparator: ascending index, strict improvement only.
-
-    dist_rows yields (index, distances-to-all-points).  Keeping the
-    update rule in one place pins down the exact tie behaviour that
-    several solvers promise to reproduce.
-    """
-    best_i = -1
-    best_s = math.inf
-    for i, d in dist_rows:
-        s = smallest_radius_at_weight(d, weights, target)
-        if s < best_s:
-            best_i = i
-            best_s = s
-    return best_i, best_s
-
-
 def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall:
     """Smallest ball centered at an input point covering >= alpha * w.
 
@@ -81,8 +64,9 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
         if n != space.size:
             raise ArgumentError("point set and oracle sizes differ")
         idx = np.arange(n)
-        rows = ((i, space.dist_many(i, idx)) for i in range(n))
-        best_i, best_s = _best_center_by_index(rows, ps.weights, target)
+        best_i, best_s, _ = best_candidate(
+            lambda chunk: space.dist_block(chunk, idx), idx, ps.weights, target
+        )
         d = space.dist_many(best_i, idx)
         covered = float(np.sum(ps.weights[d <= best_s]))
         return CandidateBall(center=int(best_i), radius=float(best_s), covered_weight=covered, center_index=int(best_i))
@@ -90,8 +74,11 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
         raise ArgumentError("space must be a NormedSpaceOps or DistanceOracle")
     if ps.coords is None:
         raise ArgumentError("coordinate space requires point coordinates")
-    rows = ((i, space.distances(ps.coords, ps.coords[i])) for i in range(n))
-    best_i, best_s = _best_center_by_index(rows, ps.weights, target)
+
+    def rows(chunk):
+        return np.stack([space.distances(ps.coords, ps.coords[i]) for i in chunk])
+
+    best_i, best_s, _ = best_candidate(rows, np.arange(n), ps.weights, target)
     d = space.distances(ps.coords, ps.coords[best_i])
     covered = float(np.sum(ps.weights[d <= best_s]))
     return CandidateBall(

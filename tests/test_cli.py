@@ -147,6 +147,14 @@ def test_version_exits_0(capsys):
     capsys.readouterr()
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the import time; only the metric generator needs it
+    code = "import sys, onecenter.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_search_r_doubles_until_verified(lp_csv, capsys):
     path, inst = lp_csv
     code, doc, _ = run_cli(

@@ -212,3 +212,54 @@ def test_callable_oracle_wraps_a_function():
     assert oracle.dist(0, 2) == 7.0
     assert np.array_equal(oracle.sweep(1), [3.0, 0.0, 4.0])
     assert oracle.query_count == 4
+
+
+def _block_oracles():
+    m = random_metric_matrix(np.random.default_rng(11), 9)
+    yield MatrixOracle(m), None
+    yield CallableOracle(lambda i, j: m[i, j], 9), None
+    base = MatrixOracle(m[:6, :6])
+    yield PaddedOracle(base, 9), base
+    yield TallyOracle(m), None
+
+
+def test_dist_block_equals_stacked_rows_and_costs_the_same():
+    rows, cols = [4, 0, 8, 4], [1, 7, 7, 3, 0]
+    for oracle, base in _block_oracles():
+        counter = base if base is not None else oracle
+        block = oracle.dist_block(rows, cols)
+        charged = counter.query_count
+        stacked = np.stack([oracle.dist_many(i, cols) for i in rows])
+        assert block.shape == (4, 5) and block.dtype == np.float64
+        assert np.array_equal(block, stacked)
+        assert charged == counter.query_count - charged == 4 * 5
+        assert oracle.query_count == counter.query_count
+        if isinstance(oracle, TallyOracle):
+            assert oracle.tally == oracle.query_count
+        assert oracle.dist_block([], cols).shape == (0, 5)
+
+
+def test_dist_block_range_checks():
+    for oracle, _ in _block_oracles():
+        for rows, cols in [([0, 9], [1]), ([0], [-1]), ([[0, 1]], [1]), (0, [1])]:
+            with pytest.raises(ArgumentError):
+                oracle.dist_block(rows, cols)
+        assert oracle.query_count == 0
+
+
+def _symmetric_600():
+    # n > AUTO_TRIANGLE_LIMIT, so under "auto" symmetry is the last check;
+    # 600 = 2 full 256-wide tiles and a ragged one of 88
+    return random_metric_matrix(np.random.default_rng(12), 600)
+
+
+def test_matrix_oracle_tiled_symmetry_check_accepts_large_metric():
+    assert MatrixOracle(_symmetric_600()).size == 600
+
+
+@pytest.mark.parametrize("i, j", [(20, 300), (300, 20), (530, 597), (5, 599)])
+def test_matrix_oracle_rejects_asymmetry_in_a_single_tile(i, j):
+    m = _symmetric_600()
+    m[i, j] = np.nextafter(m[i, j], np.inf)
+    with pytest.raises(ArgumentError, match="symmetric"):
+        MatrixOracle(m)

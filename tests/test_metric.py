@@ -20,6 +20,8 @@ from onecenter import (
     metric_quadratic,
 )
 
+from onecenter.selection import BLOCK_ELEMS
+
 from conftest import TallyOracle, random_metric_matrix
 
 
@@ -254,3 +256,25 @@ def test_metric_cover_fields():
     assert cover.approx_constant == 4.0
     assert len(cover.radii) == len(cover.centers)
     assert all(s >= 0.0 for s in cover.radii)
+
+
+class BlockRecordingOracle(MatrixOracle):
+    """Matrix oracle that records the element count of every block fetch."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix, validate="none")
+        self.blocks = []
+
+    def dist_block(self, rows, cols):
+        self.blocks.append(np.size(rows) * np.size(cols))
+        return super().dist_block(rows, cols)
+
+
+def test_candidate_blocks_stay_within_the_element_budget():
+    inst = generate_planted("metric", n=1024, d=3, alpha=0.3, seed=4, mode="two")
+    oracle = BlockRecordingOracle(inst.matrix)
+    cover = metric_quadratic(inst.ps, oracle, 0.3)
+    assert len(cover.centers) >= 2
+    assert len(oracle.blocks) > 1
+    assert max(oracle.blocks) <= BLOCK_ELEMS < 1024 * 1024
+    assert sum(oracle.blocks) == oracle.query_count

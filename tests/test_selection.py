@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from onecenter import (
     ArgumentError,
     kernel_backend,
+    select_rows,
     smallest_radius_at_weight,
     weighted_median,
     weighted_quantile_radius,
 )
-from onecenter.selection import _kernel_select, _select_sorted
+from onecenter import selection
+from onecenter.selection import _kernel_select, _select_sorted, best_candidate
 
 from conftest import scan_select
 
@@ -193,3 +195,121 @@ def test_python_backend_env_var_gives_same_results():
     backend, value = out.stdout.split()
     assert backend == "numpy"
     assert value == repr(weighted_median([1.5, 2.5, 3.5, 9.0], [1, 2, 1, 1]))
+
+
+def _rowwise(block, weights, target):
+    return [smallest_radius_at_weight(row, weights, target) for row in block]
+
+
+@st.composite
+def _blocks(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 12))
+    # a small value alphabet makes ties within a row common
+    value = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25]) | st.floats(0.0, 1e3, allow_nan=False)
+    block = np.array(draw(st.lists(value, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    weight = st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0, allow_nan=False)
+    weights = np.array(draw(st.lists(weight, min_size=cols, max_size=cols)))
+    total = float(np.sum(weights))
+    target = draw(
+        st.sampled_from([0.0, -1.0, total, total + 1.0, np.nextafter(total, 0.0)])
+        | st.floats(0.0, max(total, 1e-9), allow_nan=False)
+    )
+    return block, weights, target
+
+
+@given(_blocks())
+@settings(max_examples=400, deadline=None)
+def test_select_rows_equals_scalar_selection_row_by_row(case):
+    block, weights, target = case
+    got = select_rows(block, weights, target)
+    assert got.shape == (block.shape[0],)
+    # bit for bit, inf included
+    assert [x.hex() for x in map(float, got)] == [x.hex() for x in _rowwise(block, weights, target)]
+
+
+def test_stable_order_equals_a_stable_argsort():
+    rng = np.random.default_rng(21)
+    # long rows with many ties, where the default sort reorders equal values
+    for block in (
+        rng.integers(0, 10, size=(8, 500)).astype(float),
+        rng.random((3, 300)),
+        np.zeros((2, 40)),
+        np.array([[0.0, -0.0, 0.0, 1.0]]),
+    ):
+        assert np.array_equal(selection._stable_order(block), np.argsort(block, axis=1, kind="stable"))
+
+
+def test_select_rows_edge_cases():
+    block = np.array([[4.0, 2.0, 7.0], [1.0, 1.0, 0.5]])
+    w = np.ones(3)
+    assert list(select_rows(block, w, 3.5)) == [math.inf, math.inf]
+    assert list(select_rows(block, w, 0.0)) == [2.0, 0.5]
+    assert list(select_rows(block, w, -2.0)) == [2.0, 0.5]
+    # ties: equal values are taken in index order, so zero weights sit
+    # where a stable sort puts them
+    tied = np.array([[1.0, 1.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]])
+    assert list(select_rows(tied, [0.0, 1.0, 0.0, 1.0], 2.0)) == _rowwise(tied, [0.0, 1.0, 0.0, 1.0], 2.0)
+
+
+def test_select_rows_target_equal_to_a_total_the_cumsum_rounds_below():
+    w = np.full(10, 0.1)
+    total = float(np.sum(w))
+    assert np.cumsum(w)[-1] < total  # the pairwise sum rounds up, the running sum down
+    block = np.array([np.arange(10.0), np.arange(10.0)[::-1]])
+    assert list(select_rows(block, w, total)) == [9.0, 9.0] == _rowwise(block, w, total)
+
+
+def test_select_rows_argument_errors():
+    for block, w in [
+        ([1.0, 2.0], [1.0, 1.0]),  # one row is not a block
+        ([[1.0, 2.0]], [[1.0, 1.0]]),
+        ([[1.0, 2.0]], [1.0]),
+        (np.zeros((2, 0)), []),
+        ([[1.0, math.nan]], [1.0, 1.0]),
+        ([[1.0, math.inf]], [1.0, 1.0]),
+        ([[1.0, 2.0]], [1.0, -1.0]),
+        ([[1.0, 2.0]], [1.0, math.inf]),
+    ]:
+        with pytest.raises(ArgumentError):
+            select_rows(block, w, 1.0)
+
+
+def _best_by_loop(block, candidates, weights, target):
+    best_i, best_s = -1, math.inf
+    for c in candidates:
+        s = smallest_radius_at_weight(block[c], weights, target)
+        if s < best_s or (s == best_s and c < best_i):
+            best_i, best_s = c, s
+    return best_i, best_s
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1 << 18])
+def test_best_candidate_lowest_index_wins_across_chunks(monkeypatch, budget):
+    monkeypatch.setattr(selection, "BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        block = rng.integers(0, 4, size=(n, n)).astype(float)
+        weights = rng.choice([0.0, 1.0, 2.0], size=n)
+        target = float(rng.uniform(0.0, weights.sum() + 1.0))
+        candidates = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        fetched = []
+
+        def fetch(chunk):
+            fetched.append(len(chunk) * n)
+            return block[chunk]
+
+        i, s, row = best_candidate(fetch, candidates, weights, target)
+        assert (i, s) == _best_by_loop(block, candidates, weights, target)
+        if i < 0:
+            assert row is None
+        else:
+            assert np.array_equal(row, block[i])
+        assert max(fetched) <= max(budget, n)
+
+
+def test_best_candidate_without_a_finite_radius_has_no_winner():
+    block = np.zeros((3, 3))
+    assert best_candidate(lambda c: block[c], [2, 0, 1], np.ones(3), 4.0) == (-1, math.inf, None)
+    assert best_candidate(lambda c: block[c], [], np.ones(3), 1.0) == (-1, math.inf, None)
