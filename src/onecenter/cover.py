@@ -220,12 +220,12 @@ def _below_half_centers(
     r: float,
 ) -> list[np.ndarray]:
     # points has power-of-two length; weights may contain zeros.
-    w = float(np.sum(weights))
-    if w <= 0.0:
-        return []
     n = points.shape[0]
     if n == 1:
-        return [points[0]]
+        return [points[0]] if weights[0] > 0.0 else []
+    w = float(weights.sum())
+    if w <= 0.0:
+        return []
     half = n // 2
     candidates = _below_half_centers(points[:half], weights[:half], space, alpha, r)
     candidates += _below_half_centers(points[half:], weights[half:], space, alpha, r)
@@ -237,7 +237,7 @@ def _below_half_centers(
     for z in candidates:
         dz = space.distances(points, z)
         near = dz <= (C + 2.0) * r
-        bw = float(np.sum(weights[near]))
+        bw = float(weights[near].sum())
         if bw < y:
             continue
         # restrict to the (C+2)r ball; inside it the target ball holds a
@@ -245,7 +245,7 @@ def _below_half_centers(
         fraction = (bw + y) / (2.0 * bw)
         u = _halfplus_center(points, np.where(near, weights, 0.0), space, fraction, r)
         du = space.distances(points, u)
-        if float(np.sum(weights[du <= C * r])) >= y:
+        if float(weights[du <= C * r].sum()) >= y:
             hit = (u, du)
             break
     if hit is None:
@@ -257,7 +257,7 @@ def _below_half_centers(
         return [u]
     peeled = weights.copy()
     peeled[du <= C * r] = 0.0
-    rest = float(np.sum(peeled))
+    rest = float(peeled.sum())
     if rest < y or rest <= 0.0:
         return [u]
     return [u] + _below_half_centers(points, peeled, space, min(y / rest, 1.0), r)

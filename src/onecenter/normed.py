@@ -129,16 +129,32 @@ def _refine_loop(
 ) -> np.ndarray:
     # Shrink the containment factor K from 3C+4 down to C, recomputing
     # membership against this level's full point set each iteration.
+    # A step whose mask equals the one that produced the current center
+    # reproduces that center bit for bit, and the mask cannot change
+    # until K*r drops below its farthest member (points outside it stay
+    # outside as K shrinks).  Those steps only shrink K: no norms, no
+    # centroid.
     eps = alpha - 0.5
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
+    used = None  # bytes of the mask that produced the current center
     while K > C:
-        mask = space.distances(points, center) <= K * r
-        total = float(np.sum(weights[mask]))
+        d = space.distances(points, center)
+        mask = d <= K * r
+        if mask.tobytes() == used:
+            far = d[mask].max()
+            K *= 1.0 - eps
+            while K > C and far <= K * r:
+                K *= 1.0 - eps
+            if K <= C:
+                break
+            mask = d <= K * r
+        total = float(weights[mask].sum())
         if total <= 0.0:
             # no valid ball can exist here; keep the center unrefined
             break
         center = points[mask].T @ weights[mask] / total
+        used = mask.tobytes()
         K *= 1.0 - eps
     return center
 
@@ -153,7 +169,7 @@ def _halfplus_center(
     if points.shape[0] == 1:
         return points[0]
     reduced_pts, v = _pair_reduce_arrays(points, weights, space, r)
-    if float(np.sum(v)) > 0.0:
+    if float(v.sum()) > 0.0:
         coarse = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
     else:
         # every pair cancelled: no radius-r ball can hold more than half

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onecenter import (
     ArgumentError,
@@ -20,6 +22,7 @@ from onecenter import (
     validate_norm_axioms,
     verify_ball,
 )
+from onecenter.normed import _refine_loop
 
 from conftest import RowCountingLp
 
@@ -224,3 +227,74 @@ def test_lp_spaces_satisfy_norm_axioms():
     samples = rng.normal(size=(40, 5)) * 10.0
     for p in (1.0, 1.5, 2.0, 4.0, math.inf):
         validate_norm_axioms(LpSpace(p, 5), samples)
+
+
+def _naive_refine_loop(points, weights, space, center, alpha, r):
+    """The refine loop without skipping: one full membership pass per step."""
+    eps = alpha - 0.5
+    C = halfplus_constant(alpha)
+    K = 3.0 * C + 4.0
+    while K > C:
+        mask = space.distances(points, center) <= K * r
+        total = float(np.sum(weights[mask]))
+        if total <= 0.0:
+            break
+        center = points[mask].T @ weights[mask] / total
+        K *= 1.0 - eps
+    return center
+
+
+@st.composite
+def _refine_cases(draw):
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 4))
+    # a few well-separated clumps with jitter, so masks both shrink and settle
+    clumps = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** draw(st.integers(-2, 3))
+    anchors = rng.normal(size=(clumps, d)) * spread * 20.0
+    points = anchors[rng.integers(0, clumps, size=n)] + rng.normal(size=(n, d)) * spread
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        weights[0] = 1.0
+    alpha = draw(st.one_of(st.just(0.5 + 1e-3), st.floats(0.5 + 1e-3, 1.0)))
+    p = draw(st.sampled_from([1.0, 2.0, math.inf]))
+    r = spread * 2.0 ** draw(st.integers(-6, 6))
+    start = draw(st.sampled_from(["point", "mean", "far"]))
+    if start == "point":
+        center = points[draw(st.integers(0, n - 1))].copy()
+    elif start == "mean":
+        center = points.mean(axis=0)
+    else:
+        center = np.full(d, 1e12)
+    return points, weights, center, alpha, p, r
+
+
+@given(_refine_cases())
+@example((np.zeros((3, 2)), np.array([1.0, 0.0, 2.0]), np.full(2, 1e12), 0.75, 2.0, 1.0))
+@example((np.zeros((2, 1)), np.zeros(2), np.zeros(1), 0.6, 1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_refine_loop_matches_naive_loop_bit_for_bit(case):
+    points, weights, center, alpha, p, r = case
+    fast_space = RowCountingLp(p, points.shape[1])
+    slow_space = RowCountingLp(p, points.shape[1])
+    got = _refine_loop(points, weights, fast_space, center, alpha, r)
+    want = _naive_refine_loop(points, weights, slow_space, center, alpha, r)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert fast_space.rows <= slow_space.rows
+
+
+def test_refine_loop_skips_stationary_steps_at_small_eps():
+    # alpha just above 1/2 takes about 1600 steps, nearly all stationary
+    inst = generate_planted("lp", n=64, d=2, alpha=0.6, r=1.0, seed=5)
+    alpha = 0.5 + 1e-3
+    fast_space = RowCountingLp(2.0, 2)
+    slow_space = RowCountingLp(2.0, 2)
+    start = inst.ps.coords[0]
+    got = _refine_loop(inst.ps.coords, inst.ps.weights, fast_space, start, alpha, inst.r)
+    want = _naive_refine_loop(inst.ps.coords, inst.ps.weights, slow_space, start, alpha, inst.r)
+    assert got.tobytes() == want.tobytes()
+    assert slow_space.rows >= 1000 * 64
+    assert fast_space.rows * 10 <= slow_space.rows
