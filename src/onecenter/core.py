@@ -7,6 +7,7 @@ index and ``coords`` is None.  All balls are closed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -24,8 +25,8 @@ class WeightedPointSet:
 
     ``coords`` is an (n, d) float64 array for coordinate-backed sets or
     None for oracle-backed sets (where points are indices 0..n-1).
-    Weights are nonnegative; a zero total is representable but every
-    solver entry point requires a positive total.
+    Weights are nonnegative with a finite total; a zero total is
+    representable but every solver entry point requires a positive total.
     """
 
     coords: np.ndarray | None
@@ -50,10 +51,14 @@ class WeightedPointSet:
             if not np.all(np.isfinite(c)):
                 raise ArgumentError("coords must be finite")
             c.setflags(write=False)
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if not math.isfinite(total):
+            raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
         w.setflags(write=False)
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_weight", float(np.sum(w)))
+        object.__setattr__(self, "total_weight", total)
 
     @property
     def n(self) -> int:

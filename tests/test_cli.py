@@ -116,6 +116,18 @@ def test_malformed_csv_reports_line_and_exits_1(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("solver", ["lp-median", "halfplus"])
+def test_csv_weights_with_overflowing_total_exit_1(tmp_path, capsys, solver):
+    path = tmp_path / "huge.csv"
+    path.write_text("w,x1\n1e308,0.0\n1e308,0.5\n1e308,1.0\n")
+    code, doc, err = run_cli(
+        ["solve", "--input", str(path), "--solver", solver, "--alpha", "0.75", "--r", "1.0"], capsys
+    )
+    assert code == 1
+    assert doc is None
+    assert "finite" in err
+
+
 def test_unverifiable_normed_run_exits_2(tmp_path, capsys):
     path = tmp_path / "spread.csv"
     path.write_text("w,x1\n1.0,0.0\n1.0,100.0\n1.0,200.0\n1.0,300.0\n")

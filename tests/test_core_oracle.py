@@ -42,6 +42,17 @@ def test_point_set_rejects_bad_weights():
         WeightedPointSet.from_coords([[0.0], [1.0]], [1.0])
 
 
+def test_point_set_rejects_weights_whose_total_overflows():
+    # each weight is finite, but their sum is inf
+    with pytest.raises(ArgumentError, match="finite"):
+        WeightedPointSet.from_coords([[0.0], [0.5], [1.0]], [1e308] * 3)
+    ps = WeightedPointSet.from_coords([[0.0], [0.5], [1.0]], [1e308, 0.0, 0.0])
+    with pytest.raises(ArgumentError, match="finite"):
+        ps.with_weights([1e308] * 3)
+    with pytest.raises(ArgumentError, match="finite"):
+        WeightedPointSet.indexed(2, [1.7e308, 1.7e308])
+
+
 def test_point_set_arrays_are_read_only():
     ps = WeightedPointSet.from_coords([[1.0, 2.0]], [1.0])
     with pytest.raises(ValueError):
