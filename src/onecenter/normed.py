@@ -134,7 +134,7 @@ def _refine_loop(
     # until K*r drops below its farthest member (points outside it stay
     # outside as K shrinks).  Those steps only shrink K: no norms, no
     # centroid.
-    eps = alpha - 0.5
+    shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
     used = None  # bytes of the mask that produced the current center
@@ -142,10 +142,10 @@ def _refine_loop(
         d = space.distances(points, center)
         mask = d <= K * r
         if mask.tobytes() == used:
+            # far <= K*r holds now, so K shrinks at least once
             far = d[mask].max()
-            K *= 1.0 - eps
             while K > C and far <= K * r:
-                K *= 1.0 - eps
+                K *= shrink
             if K <= C:
                 break
             mask = d <= K * r
@@ -155,7 +155,7 @@ def _refine_loop(
             break
         center = points[mask].T @ weights[mask] / total
         used = mask.tobytes()
-        K *= 1.0 - eps
+        K *= shrink
     return center
 
 
