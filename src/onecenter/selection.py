@@ -9,8 +9,10 @@ Two interchangeable backends answer it:
 
 * a compiled median-of-medians kernel (``onecenter._kernels``),
   worst-case O(n) and allocation-light;
-* a numpy stable-argsort + cumsum scan, O(n log n), used when the
-  extension is unavailable or when ``ONECENTER_KERNEL=python`` is set.
+* a numpy sort + cumsum scan, O(n log n), used when the extension is
+  unavailable or when ``ONECENTER_KERNEL=python`` is set.  It sorts with
+  numpy's default sort and puts each run of equal values back in index
+  order, which is exactly the stable permutation (``_stable_order``).
 
 Both are fully deterministic.  ``benchmarks/kernel_bench.py`` compares
 them head to head.
@@ -57,12 +59,8 @@ def kernel_backend() -> str:
 
 
 def _select_sorted(values: np.ndarray, weights: np.ndarray, target: float) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, target, side="left"))
-    if idx >= len(cum):
-        idx = len(cum) - 1
-    return float(values[order[idx]])
+    """Numpy selection of one validated row: ``_scan_rows`` on one row."""
+    return float(_scan_rows(values[None, :], weights, target)[0])
 
 
 def _select(values: np.ndarray, weights: np.ndarray, target: float) -> float:
@@ -150,8 +148,8 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     target_weight)`` bit for bit, including the ``inf`` and row-minimum
     edge cases.  The block and the weights are validated once, with the
     same errors as the scalar function.  Under the compiled backend each
-    row goes through the kernel; otherwise one stable argsort and one
-    cumsum run along axis 1.
+    row goes through the kernel; otherwise ``_scan_rows`` sorts and
+    scans the whole block along axis 1.
     """
     v = np.ascontiguousarray(distances, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -166,6 +164,16 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     target = float(target_weight)
     if _ACTIVE_BACKEND == "cython":
         return np.array([_kernel_select(row, w, target) for row in v], dtype=np.float64)
+    return _scan_rows(v, w, target)
+
+
+def _scan_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
+    """Numpy selection of every row of a validated block, 0 < target <= total.
+
+    Each row is taken in stable order, its weights are summed in that
+    order, and the value at the first index whose running sum reaches
+    the target is returned.
+    """
     order = _stable_order(v)
     reached = np.cumsum(w[order], axis=1) >= target
     # first index whose cumsum reaches the target; the last one when

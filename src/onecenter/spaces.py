@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import ArgumentError
 
+# arrays whose dtype is this object are used as given; anything else,
+# another float64 dtype object included, goes through ``np.asarray``
+_F64 = np.dtype(np.float64)
+
 
 class NormedSpaceOps(ABC):
     """Norm plus the linear operations solvers need.
@@ -32,37 +36,68 @@ class NormedSpaceOps(ABC):
         return np.array([self.norm(row) for row in vs], dtype=np.float64)
 
     def distances(self, points: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Distance from every row of points to center."""
-        points = np.asarray(points, dtype=np.float64)
-        center = np.asarray(center, dtype=np.float64)
+        """Distance from every row of points to center: one ``norms`` call."""
+        if type(points) is not np.ndarray or points.dtype is not _F64:
+            points = np.asarray(points, dtype=np.float64)
+        if type(center) is not np.ndarray or center.dtype is not _F64:
+            center = np.asarray(center, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.d or center.shape != (self.d,):
+            raise ArgumentError(
+                f"expected (m, {self.d}) points and a center of length {self.d}, "
+                f"got {points.shape} and {center.shape}"
+            )
         return self.norms(points - center)
 
 
 class LpSpace(NormedSpaceOps):
-    """R^d under the l_p norm, p in [1, inf]."""
+    """R^d under the l_p norm, p in [1, inf].
+
+    The row kernel is picked once, from p: the abs-sum for p = 1, the
+    root of the sum of squares for p = 2 (``x*x`` is ``|x|*|x|``, so no
+    abs pass), the abs-max for p = inf, and the power-sum root otherwise.
+    """
 
     def __init__(self, p: float, d: int):
         super().__init__(d)
         if not (p >= 1.0):
             raise ArgumentError(f"p must be >= 1, got {p}")
         self.p = float(p)
+        if math.isinf(self.p):
+            self._rows = _linf_rows
+        elif self.p == 1.0:
+            self._rows = _l1_rows
+        elif self.p == 2.0:
+            self._rows = _l2_rows
+        else:
+            self._rows = self._lp_rows
+
+    def _lp_rows(self, vs: np.ndarray) -> np.ndarray:
+        return (np.abs(vs) ** self.p).sum(axis=1) ** (1.0 / self.p)
 
     def norm(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
-        return float(self._norms(np.abs(v[None, :]))[0])
+        if v.shape != (self.d,):
+            raise ArgumentError(f"expected a vector of length {self.d}, got shape {v.shape}")
+        return float(self._rows(v[None, :])[0])
 
     def norms(self, vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.float64)
-        return self._norms(np.abs(vs))
+        if type(vs) is not np.ndarray or vs.dtype is not _F64:
+            vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 2 or vs.shape[1] != self.d:
+            raise ArgumentError(f"expected (m, {self.d}) rows, got shape {vs.shape}")
+        return self._rows(vs)
 
-    def _norms(self, a: np.ndarray) -> np.ndarray:
-        if math.isinf(self.p):
-            return a.max(axis=1)
-        if self.p == 1.0:
-            return a.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
-        return (a ** self.p).sum(axis=1) ** (1.0 / self.p)
+
+def _l1_rows(vs: np.ndarray) -> np.ndarray:
+    return np.abs(vs).sum(axis=1)
+
+
+def _l2_rows(vs: np.ndarray) -> np.ndarray:
+    return np.sqrt((vs * vs).sum(axis=1))
+
+
+def _linf_rows(vs: np.ndarray) -> np.ndarray:
+    return np.abs(vs).max(axis=1)
 
 
 def validate_norm_axioms(ops: NormedSpaceOps, samples: np.ndarray, tol: float = 1e-9) -> None:

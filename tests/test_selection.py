@@ -313,3 +313,75 @@ def test_best_candidate_without_a_finite_radius_has_no_winner():
     block = np.zeros((3, 3))
     assert best_candidate(lambda c: block[c], [2, 0, 1], np.ones(3), 4.0) == (-1, math.inf, None)
     assert best_candidate(lambda c: block[c], [], np.ones(3), 1.0) == (-1, math.inf, None)
+
+
+def _stable_argsort_select(values, weights, target):
+    """The numpy single-row selection as first written: stable argsort,
+    cumsum, the first index reaching the target, else the last index."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = min(int(np.searchsorted(cum, target, side="left")), len(cum) - 1)
+    return float(values[order[idx]])
+
+
+@st.composite
+def _selection_cases(draw):
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "equal", "signed-zeros", "spread"]))
+    if kind == "ties":  # few distinct values, so long tie runs
+        values = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=n)
+    elif kind == "equal":
+        values = np.full(n, draw(st.sampled_from([-0.0, 0.0, 3.0])))
+    elif kind == "signed-zeros":
+        values = rng.choice([-0.0, 0.0], size=n)
+    else:
+        values = rng.normal(size=n)
+    # zero weights, and tenths whose running sums round away from the total
+    weights = rng.choice([0.0, 0.1, 1.0, 3.0], size=n)
+    if weights.sum() == 0.0:
+        weights[rng.integers(n)] = 0.1
+    total = float(np.sum(weights))
+    prefix = np.cumsum(weights[np.argsort(values, kind="stable")])
+    kind = draw(st.sampled_from(["prefix", "total", "below-total", "uniform"]))
+    if kind == "prefix":  # equal to an exact running sum
+        target = float(rng.choice(prefix[prefix > 0.0]))
+    elif kind == "total":  # may exceed the last running sum: last-index fallback
+        target = total
+    elif kind == "below-total":
+        target = float(np.nextafter(total, 0.0))
+    else:
+        target = float(total * rng.random()) or total
+    return values, weights, target
+
+
+@given(_selection_cases())
+@settings(max_examples=300, deadline=None)
+def test_select_sorted_equals_stable_argsort_scan_bit_for_bit(case):
+    values, weights, target = case
+    # float.hex tells -0.0 from 0.0
+    assert _select_sorted(values, weights, target).hex() == _stable_argsort_select(values, weights, target).hex()
+
+
+@pytest.mark.parametrize(
+    "values, weights, target",
+    [
+        ([-0.0], [2.0], 1.0),  # n = 1
+        ([0.0, -0.0, 0.0, -0.0], [0.0, 1.0, 1.0, 1.0], 1.0),  # signed zeros tie
+        ([-0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.5),  # zero weights lead the run
+        ([5.0] * 1000, [0.0, 1.0] * 500, 250.0),  # one long run, exact prefix
+        ([3.0, 1.0, 2.0, 1.0], [1.0, 0.0, 2.0, 1.0], 1.0),  # exact prefix at a tie
+        (list(range(10)), [0.1] * 10, float(np.sum([0.1] * 10))),  # cumsum rounds below
+        ([2.0, 2.0, 1.0] * 5, [0.1] * 15, float(np.sum([0.1] * 15))),
+    ],
+)
+def test_select_sorted_pinned_to_stable_argsort_scan(values, weights, target):
+    values, weights = np.array(values), np.array(weights)
+    assert _select_sorted(values, weights, target).hex() == _stable_argsort_select(values, weights, target).hex()
+
+
+def test_select_sorted_last_index_fallback_is_reached():
+    values, weights = np.arange(10.0)[::-1].copy(), np.full(10, 0.1)
+    total = float(np.sum(weights))
+    assert np.cumsum(weights)[-1] < total
+    assert _select_sorted(values, weights, total) == 9.0 == _stable_argsort_select(values, weights, total)

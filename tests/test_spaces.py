@@ -1,0 +1,106 @@
+"""LpSpace row kernels: pinned to the first formula, dimension checks, the norms hook."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onecenter import ArgumentError, LpSpace
+
+P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+
+def _abs_norms(p, vs):
+    """Row norms as first written: one abs pass, then the p formula."""
+    a = np.abs(np.asarray(vs, dtype=np.float64))
+    if math.isinf(p):
+        return a.max(axis=1)
+    if p == 1.0:
+        return a.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=1))
+    return (a**p).sum(axis=1) ** (1.0 / p)
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+class _CountingLp(LpSpace):
+    """Overrides only ``norms`` and records the row count of every batch."""
+
+    def __init__(self, p, d):
+        super().__init__(p, d)
+        self.batches = []
+
+    def norms(self, vs):
+        self.batches.append(len(vs))
+        return super().norms(vs)
+
+
+# signed zeros, and magnitudes whose powers underflow or overflow
+_ENTRY = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200, 1.0, -2.5]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@given(
+    p=st.sampled_from(P_VALUES),
+    d=st.integers(1, 5),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_lp_kernels_equal_abs_formula_bit_for_bit(p, d, m, data):
+    rows = np.array(data.draw(st.lists(_ENTRY, min_size=m * d, max_size=m * d))).reshape(m, d)
+    center = np.array(data.draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    space = _CountingLp(p, d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = _hex(_abs_norms(p, rows))
+        assert _hex(space.norms(rows)) == want
+        assert _hex(space.norms(rows.tolist())) == want
+        assert _hex(space.norms(rows.astype(np.float32))) == _hex(_abs_norms(p, rows.astype(np.float32)))
+        assert _hex(space.norm(row) for row in rows) == want
+        assert _hex(space.norm(row.tolist()) for row in rows) == want
+        space.batches.clear()
+        for points in (rows, rows.tolist(), rows.astype(np.float32)):
+            got = space.distances(points, center)
+            assert _hex(got) == _hex(_abs_norms(p, np.asarray(points, dtype=np.float64) - center))
+        assert _hex(space.distances(rows, center.tolist())) == _hex(_abs_norms(p, rows - center))
+    # one full batch per distances call; norm never goes through norms
+    assert space.batches == [m] * 4
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_overflowing_rows_give_the_same_inf(p):
+    rows = np.array([[1e200, 1e200], [-1e200, 0.0], [1e-200, -1e-200], [-0.0, -0.0]])
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = LpSpace(p, 2).norms(rows), _abs_norms(p, rows)
+    assert _hex(got) == _hex(want)
+    if 2.0 <= p < math.inf:  # 1e200 squared or cubed overflows
+        assert got[0] == math.inf
+    assert got[3].hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_wrong_dimensions_raise_argument_error(p):
+    space = LpSpace(p, 2)
+    with pytest.raises(ArgumentError):
+        space.norm([3.0, 4.0, 5.0])
+    with pytest.raises(ArgumentError):
+        space.norm([[3.0, 4.0]])
+    with pytest.raises(ArgumentError):
+        space.norms(np.array([3.0, 4.0]))
+    with pytest.raises(ArgumentError):
+        space.norms(np.ones((4, 3)))
+    with pytest.raises(ArgumentError):
+        space.distances(np.ones((4, 2)), [1.0, 2.0, 3.0])
+    with pytest.raises(ArgumentError):
+        space.distances(np.ones((4, 2)), [1.0])  # would broadcast
+    with pytest.raises(ArgumentError):
+        space.distances(np.ones((4, 1)), [1.0, 2.0])  # would broadcast
+    with pytest.raises(ArgumentError):
+        space.distances(np.ones(2), [1.0, 2.0])
+    assert space.norms(np.empty((0, 2))).shape == (0,)
