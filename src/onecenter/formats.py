@@ -4,9 +4,9 @@ Three formats, one per space model plus a replayable fixture format:
 
 * points CSV: header row ``w,x1,...,xd``, one point per line, '.' as
   the decimal separator.
-* distance matrix: first line ``n``, then n whitespace-separated rows
-  of n reals.  Symmetry and the zero diagonal are enforced when the
-  matrix is wrapped in a MatrixOracle.
+* distance matrix: first line ``n``, then exactly n whitespace-separated
+  rows of n reals; blank lines are skipped.  Symmetry and the zero
+  diagonal are enforced when the matrix is wrapped in a MatrixOracle.
 * instance JSON: a full PlantedInstance including its ground truth, so
   solver runs can be replayed bit-for-bit.
 
@@ -39,6 +39,25 @@ def _parse_float(token: str, line: int, what: str) -> float:
     return value
 
 
+def _parse_row(cells: list[str], line: int, what: list[str]) -> tuple[float, ...]:
+    """Floats of one row, with the exact errors of ``_parse_float``.
+
+    ``what[c]`` names column c in error messages.  The fast path is the
+    same ``float`` call; only a row that fails it, or whose sum is NaN
+    (a NaN cell, or a false alarm from inf + -inf), is parsed again token
+    by token so that the first bad token is the one reported.  Rows are
+    tuples, which hold a short row in less memory than a list.
+    """
+    try:
+        vals = tuple(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        if not math.isnan(sum(vals)):
+            return vals
+    return tuple(_parse_float(c, line, w) for c, w in zip(cells, what))
+
+
 def read_points_csv(path: str) -> WeightedPointSet:
     """Parse a ``w,x1,...,xd`` CSV into a weighted point set."""
     with open(path, encoding="utf-8") as fh:
@@ -49,7 +68,7 @@ def read_points_csv(path: str) -> WeightedPointSet:
     d = len(header) - 1
     if d < 1 or header[0] != "w" or header[1:] != [f"x{i}" for i in range(1, d + 1)]:
         raise ParseError("header must be w,x1,...,xd", line=1)
-    weights = []
+    what = ["weight"] + ["coordinate"] * d
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -57,12 +76,13 @@ def read_points_csv(path: str) -> WeightedPointSet:
         cells = raw.split(",")
         if len(cells) != d + 1:
             raise ParseError(f"expected {d + 1} comma-separated values, got {len(cells)}", line=lineno)
-        weights.append(_parse_float(cells[0], lineno, "weight"))
-        rows.append([_parse_float(c, lineno, "coordinate") for c in cells[1:]])
+        rows.append(_parse_row(cells, lineno, what))
     if not rows:
         raise ParseError("no data rows after the header", line=2)
+    data = np.array(rows)
+    del rows  # free the row tuples before from_coords copies the columns out
     try:
-        return WeightedPointSet.from_coords(np.array(rows), np.array(weights))
+        return WeightedPointSet.from_coords(data[:, 1:], data[:, 0])
     except ArgumentError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -88,18 +108,19 @@ def read_matrix(path: str) -> np.ndarray:
         raise ParseError(f"size line must be an integer, got {lines[0].strip()!r}", line=1) from None
     if n < 1:
         raise ParseError(f"size must be positive, got {n}", line=1)
+    what = ["distance"] * n
     rows = []
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
         if not raw.strip():
             continue
+        if len(rows) == n:
+            raise ParseError(f"expected {n} matrix rows, found more", line=lineno)
         cells = raw.split()
         if len(cells) != n:
             raise ParseError(f"expected {n} entries in matrix row, got {len(cells)}", line=lineno)
-        rows.append([_parse_float(c, lineno, "distance") for c in cells])
-        if len(rows) == n:
-            break
+        rows.append(_parse_row(cells, lineno, what))
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, found {len(rows)}", line=lineno)
     return np.array(rows)

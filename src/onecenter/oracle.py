@@ -112,22 +112,34 @@ def _is_symmetric(m: np.ndarray) -> bool:
 
 
 def _triangle_violation(m: np.ndarray) -> float:
-    # max over (i, j, k) of d(i,j) - d(i,k) - d(k,j), chunked over k to
-    # keep memory at O(n^2)
+    """Largest d(i,j) - (d(i,k) + d(k,j)) over all (i, j, k), floored at 0.0.
+
+    Precondition: m is symmetric, nonnegative and has a zero diagonal,
+    which ``MatrixOracle.__init__`` checks first.  Under it one min-plus
+    pass over the pairs j > i gives the same double as the maximum over
+    every (i, j, k): m[k, j] == m[j, k] and float addition commutes, so
+    row j of ``m[i + 1:] + m[i]`` holds every rounded d(i,k) + d(k,j);
+    rounding is monotone, so fl(a - min s) == max fl(a - s); the pairs
+    j < i mirror j > i, and j == i gives -2 d(i,k) <= 0, which the 0.0
+    floor absorbs.  The largest temporary is (n-1) x n.
+    """
     worst = 0.0
     n = m.shape[0]
-    for k in range(n):
-        slack = m - (m[:, k : k + 1] + m[k : k + 1, :])
-        worst = max(worst, float(slack.max()))
+    for i in range(n - 1):
+        s = (m[i + 1 :] + m[i]).min(axis=1)
+        worst = max(worst, float((m[i, i + 1 :] - s).max()))
     return worst
 
 
 class MatrixOracle(DistanceOracle):
     """Oracle backed by an explicit n x n distance matrix.
 
-    Validation requires a symmetric, nonnegative matrix with a zero
-    diagonal.  The O(n^3) triangle-inequality check (tolerance 1e-9)
-    runs when ``validate='full'``, or under ``'auto'`` only for n <= 512.
+    Validation requires a finite, nonnegative matrix with a zero
+    diagonal that is symmetric, checked in that order.  The
+    triangle-inequality check (tolerance 1e-9) runs last, when
+    ``validate='full'``, or under ``'auto'`` only for n <= 512; it is one
+    O(n^3) min-plus pass over the pairs i < j, which relies on the
+    earlier checks having passed.
     """
 
     TRIANGLE_TOL = 1e-9

@@ -33,14 +33,17 @@ def verify_ball(
 
     Returns (ok, covered).  The threshold gets a relative slack of
     rel_tol * total so that weights reconstructed from text round-trips
-    do not flip a true result.
+    do not flip a true result.  A NaN or infinite radius, and a
+    coordinate center with a non-finite entry, are rejected.
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if radius < 0.0:
-        raise ArgumentError(f"radius must be nonnegative, got {radius}")
+    if not 0.0 <= radius < math.inf:
+        raise ArgumentError(f"radius must be finite and nonnegative, got {radius}")
     if rel_tol < 0.0:
         raise ArgumentError(f"rel_tol must be nonnegative, got {rel_tol}")
+    if not isinstance(space, DistanceOracle) and not np.all(np.isfinite(center)):
+        raise ArgumentError("center coordinates must be finite")
     total = ps.total_weight
     covered = covered_weight(ps, space, center, radius)
     ok = covered >= alpha * total - rel_tol * total

@@ -229,6 +229,24 @@ def test_verify_command_lp(lp_csv, capsys):
     assert doc["verified"] is False
 
 
+@pytest.mark.parametrize(
+    "first_coord, radius, named",
+    [("nan", "1.0", "center"), ("inf", "1.0", "center"), (None, "nan", "radius"), (None, "inf", "radius")],
+)
+def test_verify_command_rejects_non_finite_ball(lp_csv, capsys, first_coord, radius, named):
+    path, inst = lp_csv
+    coords = [repr(float(x)) for x in inst.centers[0]]
+    if first_coord is not None:
+        coords[0] = first_coord
+    code, doc, err = run_cli(
+        ["verify", "--input", path, "--alpha", "0.75", "--radius", radius, "--center", ",".join(coords)],
+        capsys,
+    )
+    assert code == 1
+    assert doc is None
+    assert named in err
+
+
 def test_verify_command_metric_needs_index(metric_matrix, capsys):
     path, inst = metric_matrix
     code, _, err = run_cli(

@@ -4,6 +4,8 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecenter import (
     ArgumentError,
@@ -17,6 +19,7 @@ from onecenter import (
     generate_planted,
     metric_halfplus,
 )
+from onecenter.oracle import _triangle_violation
 
 from conftest import TallyOracle, random_metric_matrix
 
@@ -274,3 +277,71 @@ def test_matrix_oracle_rejects_asymmetry_in_a_single_tile(i, j):
     m[i, j] = np.nextafter(m[i, j], np.inf)
     with pytest.raises(ArgumentError, match="symmetric"):
         MatrixOracle(m)
+
+
+def _triangle_violation_per_k(m):
+    # the earlier loop over every (i, j, k), one k at a time: the reference
+    worst = 0.0
+    n = m.shape[0]
+    for k in range(n):
+        slack = m - (m[:, k : k + 1] + m[k : k + 1, :])
+        worst = max(worst, float(slack.max()))
+    return worst
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric, nonnegative, zero-diagonal matrices, n from 1 to 40.
+
+    Entries are tie-heavy small integers, a {-0.0, 0.0, 1.0, 2.0} palette,
+    uniform reals, or an integer l_1 metric (violation 0.0) with a few
+    planted violations.  Then each zero entry, the diagonal included,
+    may become -0.0 on its own, so m[i, j] and m[j, i] can differ in the
+    sign of zero, which the symmetry check allows.
+    """
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["integers", "palette", "uniform", "metric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "metric":
+        pts = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+        m = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = rng.integers(0, n, size=2)
+            if i != j:
+                m[i, j] = m[j, i] = m[i, j] + draw(st.sampled_from([1e-12, 1e-9, 0.5, 3.0]))
+    else:
+        if kind == "integers":
+            upper = rng.integers(0, 5, size=(n, n)).astype(np.float64)
+        elif kind == "palette":
+            upper = rng.choice([-0.0, 0.0, 1.0, 2.0], size=(n, n))
+        else:
+            upper = rng.uniform(0.0, 10.0, size=(n, n))
+        m = np.triu(upper, 1)
+        m = m + m.T
+    zeros = np.flatnonzero(m == 0.0)
+    flip = zeros[rng.random(zeros.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))]
+    m.flat[flip] = -0.0
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_matrices())
+def test_triangle_violation_equals_per_k_reference(m):
+    expected = _triangle_violation_per_k(m)
+    assert _triangle_violation(m).hex() == expected.hex()
+    if expected > MatrixOracle.TRIANGLE_TOL:
+        with pytest.raises(ArgumentError) as err:
+            MatrixOracle(m, validate="full")
+        assert str(err.value) == f"triangle inequality violated by {expected:.3e}"
+    else:
+        assert MatrixOracle(m, validate="full").size == m.shape[0]
+
+
+def test_triangle_violation_pinned_cases():
+    metric = random_metric_matrix(np.random.default_rng(5), 60)
+    bad = metric.copy()
+    bad[7, 41] = bad[41, 7] = bad[7, 41] + 2.5
+    for m in (np.zeros((1, 1)), metric, bad):
+        assert _triangle_violation(m).hex() == _triangle_violation_per_k(m).hex()
+    assert _triangle_violation(metric) <= MatrixOracle.TRIANGLE_TOL
+    assert _triangle_violation(bad) > 2.0

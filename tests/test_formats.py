@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from onecenter import ParseError, WeightedPointSet, generate_planted
+from onecenter import ArgumentError, ParseError, WeightedPointSet, generate_planted
 from onecenter.formats import (
+    _parse_float,
     detect_format,
     instance_from_dict,
     instance_to_dict,
@@ -117,6 +118,149 @@ def test_matrix_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError) as err:
         read_matrix(str(path))
     assert err.value.line == 2
+
+    # a row past the n-th is an error at its own line; trailing blanks are not
+    path.write_text("2\n0 1\n1 0\n\n5 5\n\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix(str(path))
+    assert err.value.line == 5
+    assert "expected 2 matrix rows" in str(err.value)
+
+    path.write_text("2\n0 1\n1 0\n\n \t\n")
+    assert read_matrix(str(path)).shape == (2, 2)
+
+
+def _read_points_csv_per_token(path):
+    # the earlier token-by-token parser: the reference for read_points_csv
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file, expected a w,x1,...,xd header", line=1)
+    header = [c.strip() for c in lines[0].split(",")]
+    d = len(header) - 1
+    if d < 1 or header[0] != "w" or header[1:] != [f"x{i}" for i in range(1, d + 1)]:
+        raise ParseError("header must be w,x1,...,xd", line=1)
+    weights = []
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != d + 1:
+            raise ParseError(f"expected {d + 1} comma-separated values, got {len(cells)}", line=lineno)
+        weights.append(_parse_float(cells[0], lineno, "weight"))
+        rows.append([_parse_float(c, lineno, "coordinate") for c in cells[1:]])
+    if not rows:
+        raise ParseError("no data rows after the header", line=2)
+    try:
+        return WeightedPointSet.from_coords(np.array(rows), np.array(weights))
+    except ArgumentError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _read_matrix_per_token(path):
+    # the earlier token-by-token parser: the reference for read_matrix on
+    # files with at most n rows (it stopped reading after the n-th)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError("empty file, expected a size line", line=1)
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise ParseError(f"size line must be an integer, got {lines[0].strip()!r}", line=1) from None
+    if n < 1:
+        raise ParseError(f"size must be positive, got {n}", line=1)
+    rows = []
+    lineno = 1
+    for raw in lines[1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        cells = raw.split()
+        if len(cells) != n:
+            raise ParseError(f"expected {n} entries in matrix row, got {len(cells)}", line=lineno)
+        rows.append([_parse_float(c, lineno, "distance") for c in cells])
+        if len(rows) == n:
+            break
+    if len(rows) != n:
+        raise ParseError(f"expected {n} matrix rows, found {len(rows)}", line=lineno)
+    return np.array(rows)
+
+
+def _outcome(read, path):
+    try:
+        got = read(path)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    if isinstance(got, WeightedPointSet):
+        return ("ok", got.coords.shape, got.coords.tobytes(), got.weights.tobytes())
+    return ("ok", got.shape, got.dtype, got.tobytes())
+
+
+_MATRIX_CORPUS = [
+    "2\n0 inf\ninf 0\n",
+    "2\n0 -inf\n-inf 0\n",
+    "2\n0 1_000\n1_000 0\n",
+    "2\n  0   1e-320 \n\t1e-320\t0\n",
+    "2\n-0.0 1\n1 -0.0\n",
+    "3\n0 1.5 2.25\n1.5 0 0.125\n2.25 0.125 0\n",
+    "2\n0 nan\n1 0\n",
+    "2\n0 1\nNaN 0\n",
+    "2\n0 +nan\n1 0\n",
+    "2\n0 nan\n1\n",
+    "3\n0 nan x\n1 0 1\n1 1 0\n",
+    "3\n0 x nan\n1 0 1\n1 1 0\n",
+    "2\ninf -inf\n-inf inf\n",
+    "3\n1e308 1e308 -inf\n0 0 0\n0 0 0\n",
+    "2\n\n0 1\n\n  \n1 0\n\n",
+    "2\n0 1\n",
+    "2\n0 1\n\n\n",
+    "\n2\n0 1\n1 0\n",
+    "2\n0 1 2\n1 0\n",
+]
+
+_CSV_CORPUS = [
+    "w,x1,x2\n1,inf,-inf\n",
+    "w,x1\ninf,0\n",
+    "w,x1\n1_000, 2 \n 0.5 ,1e-320\n1,-0.0\n",
+    "w,x1\nnan,1\n",
+    "w,x1,x2\n1,NaN,x\n",
+    "w,x1,x2\n1,x,NaN\n",
+    "w,x1,x2\nx,nan,1\n",
+    "w,x1,x2\n1,+nan,2\n2,3\n",
+    "w,x1,x2\n1,2,3\n2,3\n",
+    "w,x1\n\n1,2\n\n   \n0.25,3\n\n",
+    "w,x1\n1,-inf\n",
+    "w,x1\n-1,0\n",
+    "w,x1\n",
+]
+
+
+@pytest.mark.parametrize("text", _MATRIX_CORPUS)
+def test_read_matrix_matches_per_token_reference(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert _outcome(read_matrix, str(path)) == _outcome(_read_matrix_per_token, str(path))
+
+
+@pytest.mark.parametrize("text", _CSV_CORPUS)
+def test_read_points_csv_matches_per_token_reference(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    assert _outcome(read_points_csv, str(path)) == _outcome(_read_points_csv_per_token, str(path))
+
+
+def test_parsers_match_per_token_reference_on_generated_files(tmp_path):
+    inst = generate_planted("metric", n=40, d=3, alpha=0.6, r=1.0, seed=2)
+    mpath = str(tmp_path / "m.txt")
+    write_matrix(mpath, inst.matrix)
+    assert _outcome(read_matrix, mpath) == _outcome(_read_matrix_per_token, mpath)
+    lp = generate_planted("lp", n=300, d=5, alpha=0.75, r=1.0, seed=2)
+    cpath = str(tmp_path / "p.csv")
+    write_points_csv(cpath, lp.ps)
+    assert _outcome(read_points_csv, cpath) == _outcome(_read_points_csv_per_token, cpath)
+    assert read_points_csv(cpath).coords.flags.c_contiguous
 
 
 @pytest.mark.parametrize("space,alpha,mode", [("lp", 0.6, "single"), ("metric", 0.4, "two")])

@@ -95,6 +95,24 @@ def test_verify_ball_tolerance_is_relative():
         verify_ball(ps, L2_2, np.array([0.0, 0.0]), 1.0, 1.5)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_verify_ball_rejects_non_finite_radius(radius):
+    ps = WeightedPointSet.from_coords([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ArgumentError, match="radius"):
+        verify_ball(ps, L2_2, np.array([0.0, 0.0]), radius, 0.5)
+    with pytest.raises(ArgumentError, match="radius"):
+        verify_ball(WeightedPointSet.indexed(2), MatrixOracle([[0.0, 1.0], [1.0, 0.0]]), 0, radius, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_ball_rejects_non_finite_center(bad):
+    ps = WeightedPointSet.from_coords([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ArgumentError, match="center"):
+        verify_ball(ps, L2_2, np.array([bad, 0.0]), 1.0, 0.5)
+    with pytest.raises(ArgumentError, match="center"):
+        verify_ball(ps, L2_2, [0.0, bad], 1.0, 0.5)
+
+
 def test_las_vegas_identical_points_first_try():
     ps = WeightedPointSet.from_coords(np.tile([1.0, 1.0], (5, 1)))
     ball, attempts = las_vegas_baseline(ps, L2_2, alpha=0.9, r=1.0, seed=0)
