@@ -218,34 +218,54 @@ def _below_half_centers(
     space: NormedSpaceOps,
     alpha: float,
     r: float,
+    lo: int,
+    memo: dict,
 ) -> list[np.ndarray]:
-    # points has power-of-two length; weights may contain zeros.
+    # points is the block at offset lo of the padded array, of
+    # power-of-two length; weights may contain zeros.  memo belongs to
+    # the top-level call and caches what depends only on the block:
+    # distance rows under (lo, n, center bytes), first-level pair norms
+    # under (lo, n).  Every miss goes through space.distances/norms.
     n = points.shape[0]
     if n == 1:
         return [points[0]] if weights[0] > 0.0 else []
-    w = float(weights.sum())
+    w = float(np.add.reduce(weights))
     if w <= 0.0:
         return []
     half = n // 2
-    candidates = _below_half_centers(points[:half], weights[:half], space, alpha, r)
-    candidates += _below_half_centers(points[half:], weights[half:], space, alpha, r)
+    candidates = _below_half_centers(points[:half], weights[:half], space, alpha, r, lo, memo)
+    candidates += _below_half_centers(
+        points[half:], weights[half:], space, alpha, r, lo + half, memo
+    )
     candidates = _dedupe_rows(candidates)
+
+    def dist(c: np.ndarray) -> np.ndarray:
+        key = (lo, n, c.tobytes())
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = space.distances(points, c)
+        return d
 
     y = alpha * w
     C = 2.0 + 2.0 / alpha
     hit = None
     for z in candidates:
-        dz = space.distances(points, z)
-        near = dz <= (C + 2.0) * r
-        bw = float(weights[near].sum())
+        near = dist(z) <= (C + 2.0) * r
+        bw = float(np.add.reduce(weights[near]))
         if bw < y:
             continue
         # restrict to the (C+2)r ball; inside it the target ball holds a
         # clear majority, so the above-half solver applies
         fraction = (bw + y) / (2.0 * bw)
-        u = _halfplus_center(points, np.where(near, weights, 0.0), space, fraction, r)
-        du = space.distances(points, u)
-        if float(weights[du <= C * r].sum()) >= y:
+        gaps = memo.get((lo, n))
+        if gaps is None:
+            gaps = memo[(lo, n)] = space.norms(points[0::2] - points[1::2])
+        u, du = _halfplus_center(
+            points, np.where(near, weights, 0.0), space, fraction, r, dist, gaps
+        )
+        if du is None:
+            du = dist(u)
+        if float(np.add.reduce(weights[du <= C * r])) >= y:
             hit = (u, du)
             break
     if hit is None:
@@ -257,10 +277,10 @@ def _below_half_centers(
         return [u]
     peeled = weights.copy()
     peeled[du <= C * r] = 0.0
-    rest = float(peeled.sum())
+    rest = float(np.add.reduce(peeled))
     if rest < y or rest <= 0.0:
         return [u]
-    return [u] + _below_half_centers(points, peeled, space, min(y / rest, 1.0), r)
+    return [u] + _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
 
 
 def _pad_pow2(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +316,7 @@ def below_half_cover(
         raise ArgumentError("below_half_cover needs explicit coordinates")
     require_positive_weight(ps)
     points, weights = _pad_pow2(ps.coords, ps.weights)
-    centers = _below_half_centers(points, weights, space, alpha, r)
+    centers = _below_half_centers(points, weights, space, alpha, r, 0, {})
     C = gap_constant(alpha)
     remaining = ps.weights.copy()
     balls = []
@@ -338,9 +358,12 @@ def cluster_any_alpha(
     beta = alpha / 2.0
     base = scale_base(alpha)
     vf = verify_factor(alpha)
+    # distance rows and pair norms depend on neither the fraction nor the
+    # radius, so one memo serves every scale
+    memo: dict = {}
     for s in range(scale_count(alpha) + 1):
         R = base**s * r
-        for z in _below_half_centers(points, weights, space, beta, R):
+        for z in _below_half_centers(points, weights, space, beta, R, 0, memo):
             radius = vf * R
             covered = float(np.sum(ps.weights[space.distances(ps.coords, z) <= radius]))
             if covered >= alpha * w:

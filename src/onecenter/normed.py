@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,8 +51,14 @@ class PairReduction:
 
 
 def _pair_reduce_arrays(
-    points: np.ndarray, weights: np.ndarray, space: NormedSpaceOps, r: float
+    points: np.ndarray,
+    weights: np.ndarray,
+    space: NormedSpaceOps,
+    r: float,
+    gaps: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    # gaps, when given, is space.norms(points[0::2] - points[1::2]) for
+    # an even-length points
     n = points.shape[0]
     if n % 2 == 1:
         # pad with a zero-weight copy of the first point
@@ -60,7 +68,9 @@ def _pair_reduce_arrays(
     b = points[1::2]
     wa = weights[0::2]
     wb = weights[1::2]
-    close = space.norms(a - b) <= 2.0 * r
+    if gaps is None:
+        gaps = space.norms(a - b)
+    close = gaps <= 2.0 * r
     v = np.where(close, wa + wb, np.abs(wa - wb))
     # heavier member survives; ties keep the earlier point
     take_a = wa >= wb
@@ -126,20 +136,25 @@ def _refine_loop(
     center: np.ndarray,
     alpha: float,
     r: float,
-) -> np.ndarray:
+    dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     # Shrink the containment factor K from 3C+4 down to C, recomputing
     # membership against this level's full point set each iteration.
     # A step whose mask equals the one that produced the current center
     # reproduces that center bit for bit, and the mask cannot change
     # until K*r drops below its farthest member (points outside it stay
     # outside as K shrinks).  Those steps only shrink K: no norms, no
-    # centroid.
+    # centroid.  dist(c), if given, must equal space.distances(points, c).
+    # Returns the center and, when the loop ended on a row it evaluated
+    # for that center, the row; otherwise None.
+    if dist is None:
+        dist = partial(space.distances, points)
     shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
     used = None  # bytes of the mask that produced the current center
     while K > C:
-        d = space.distances(points, center)
+        d = dist(center)
         mask = d <= K * r
         if mask.tobytes() == used:
             # far <= K*r holds now, so K shrinks at least once
@@ -147,16 +162,16 @@ def _refine_loop(
             while K > C and far <= K * r:
                 K *= shrink
             if K <= C:
-                break
+                return center, d
             mask = d <= K * r
-        total = float(weights[mask].sum())
+        total = float(np.add.reduce(weights[mask]))
         if total <= 0.0:
             # no valid ball can exist here; keep the center unrefined
-            break
+            return center, d
         center = points[mask].T @ weights[mask] / total
         used = mask.tobytes()
         K *= shrink
-    return center
+    return center, None
 
 
 def _halfplus_center(
@@ -165,17 +180,22 @@ def _halfplus_center(
     space: NormedSpaceOps,
     alpha: float,
     r: float,
-) -> np.ndarray:
+    dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    gaps: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    # dist and gaps serve only this level's refine loop and pair
+    # reduction (see _refine_loop, _pair_reduce_arrays); the reduced
+    # levels below compute their own.  Returns _refine_loop's pair.
     if points.shape[0] == 1:
-        return points[0]
-    reduced_pts, v = _pair_reduce_arrays(points, weights, space, r)
-    if float(v.sum()) > 0.0:
-        coarse = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
+        return points[0], None
+    reduced_pts, v = _pair_reduce_arrays(points, weights, space, r, gaps)
+    if float(np.add.reduce(v)) > 0.0:
+        coarse = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)[0]
     else:
         # every pair cancelled: no radius-r ball can hold more than half
         # the weight, so any survivor is as good a starting point as any
         coarse = reduced_pts[0]
-    return _refine_loop(points, weights, space, coarse, alpha, r)
+    return _refine_loop(points, weights, space, coarse, alpha, r, dist)
 
 
 def cluster_halfplus(
@@ -185,7 +205,9 @@ def cluster_halfplus(
 
     Whenever some radius-r ball holds at least alpha of the total
     weight, the returned ball covers at least that much.  Runs in
-    O(n d log n) time plus the refinement passes; fully deterministic.
+    O(nd) time: each pair-reduction level halves the set, and each
+    level's refine loop makes at most refine_iteration_cap(alpha)
+    passes over it.  Fully deterministic.
     """
     if not 0.5 < alpha <= 1.0:
         raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
@@ -194,7 +216,9 @@ def cluster_halfplus(
     if ps.coords is None:
         raise ArgumentError("cluster_halfplus needs explicit coordinates")
     require_positive_weight(ps)
-    center = _halfplus_center(ps.coords, ps.weights, space, alpha, r)
+    center, d = _halfplus_center(ps.coords, ps.weights, space, alpha, r)
+    if d is None:
+        d = space.distances(ps.coords, center)
     radius = halfplus_constant(alpha) * r
-    covered = float(np.sum(ps.weights[space.distances(ps.coords, center) <= radius]))
+    covered = float(np.add.reduce(ps.weights[d <= radius]))
     return CandidateBall(center=center, radius=radius, covered_weight=covered)

@@ -140,6 +140,11 @@ class MatrixOracle(DistanceOracle):
     ``validate='full'``, or under ``'auto'`` only for n <= 512; it is one
     O(n^3) min-plus pass over the pairs i < j, which relies on the
     earlier checks having passed.
+
+    A C-contiguous float64 matrix is not copied: ``self.matrix`` is a
+    read-only view of it, and the caller's array stays writable.  The
+    caller must not mutate the matrix afterwards, since answers and
+    validation would no longer agree.
     """
 
     TRIANGLE_TOL = 1e-9
@@ -167,8 +172,8 @@ class MatrixOracle(DistanceOracle):
                     raise ArgumentError(
                         f"triangle inequality violated by {worst:.3e}"
                     )
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        self.matrix = matrix.view()
+        self.matrix.setflags(write=False)
 
     def _dist_impl(self, i: int, j: int) -> float:
         return self.matrix[i, j]

@@ -117,6 +117,18 @@ def test_matrix_oracle_accepts_valid_metric():
     assert oracle.dist(2, 9) == oracle.dist(9, 2)
 
 
+def test_matrix_oracle_leaves_the_callers_array_writable():
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    o = MatrixOracle(m)
+    assert np.shares_memory(o.matrix, m)  # a view, not a copy
+    assert m.flags.writeable
+    assert not o.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        o.matrix[0, 1] = 5.0
+    m[0, 1] = 5.0
+    assert m[0, 1] == 5.0
+
+
 def test_matrix_oracle_rejections():
     with pytest.raises(ArgumentError):
         MatrixOracle(np.zeros((2, 3)))

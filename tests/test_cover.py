@@ -1,9 +1,12 @@
 """Multi-ball covers, the gap-condition solver, and bucket composition."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onecenter import (
     ArgumentError,
@@ -27,6 +30,11 @@ from onecenter import (
     scale_count,
     verify_factor,
 )
+from onecenter import cover
+from onecenter.cover import _dedupe_rows, _iterated_bucket_fn, _polylog_fn
+from onecenter.normed import _pair_reduce_arrays, _refine_loop
+
+from conftest import RowCountingLp
 
 
 def test_formula_identities():
@@ -305,3 +313,143 @@ def test_logtower_overflow_guard():
         cluster_logtower(ps, space, 0.5, -1, 1.0)
     with pytest.raises(ArgumentError):
         cluster_logtower(ps, space, 1.5, 1, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.999])
+def test_logtower_buckets_never_split_an_input_the_library_can_hold(beta, k):
+    # stage j of cluster_logtower buckets by g_j(n) = min(n, f^(2^(j-1))(n));
+    # e shrinks as beta grows, to 16 near beta = 1, and even (log2 n)^16
+    # stays above n from n = 3 until far past 2^60
+    exponent = int(math.floor(2.0 / logtower_base_fraction(beta, k)))
+    f = _polylog_fn(exponent)
+    ns = list(range(3, 4097))
+    ns += [m for t in range(12, 61) for m in (2**t - 1, 2**t, 2**t + 1) if m <= 2**60]
+    ns += [3 * 2**t for t in range(11, 59)]
+    for j in range(1, k + 1):
+        g = _iterated_bucket_fn(f, 2 ** (j - 1))
+        # n = 2 is the one split: two singleton buckets
+        assert g(2) == 1.0
+        for n in ns:
+            assert g(n) == float(n), (beta, k, j, n)
+            assert math.ceil(n / g(n)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the below-half recursion without its memo, as the bit-for-bit reference
+
+
+def _ref_halfplus_center(points, weights, space, alpha, r):
+    if points.shape[0] == 1:
+        return points[0]
+    reduced_pts, v = _pair_reduce_arrays(points, weights, space, r)
+    if float(v.sum()) > 0.0:
+        coarse = _ref_halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
+    else:
+        coarse = reduced_pts[0]
+    return _refine_loop(points, weights, space, coarse, alpha, r)[0]
+
+
+def _ref_below_half_centers(points, weights, space, alpha, r, lo=None, memo=None):
+    # lo and memo are accepted so this can stand in for the library's
+    # function, and ignored: every row is computed afresh
+    n = points.shape[0]
+    if n == 1:
+        return [points[0]] if weights[0] > 0.0 else []
+    w = float(weights.sum())
+    if w <= 0.0:
+        return []
+    half = n // 2
+    candidates = _ref_below_half_centers(points[:half], weights[:half], space, alpha, r)
+    candidates += _ref_below_half_centers(points[half:], weights[half:], space, alpha, r)
+    candidates = _dedupe_rows(candidates)
+    y = alpha * w
+    C = 2.0 + 2.0 / alpha
+    hit = None
+    for z in candidates:
+        dz = space.distances(points, z)
+        near = dz <= (C + 2.0) * r
+        bw = float(weights[near].sum())
+        if bw < y:
+            continue
+        fraction = (bw + y) / (2.0 * bw)
+        u = _ref_halfplus_center(points, np.where(near, weights, 0.0), space, fraction, r)
+        du = space.distances(points, u)
+        if float(weights[du <= C * r].sum()) >= y:
+            hit = (u, du)
+            break
+    if hit is None:
+        return []
+    u, du = hit
+    if alpha > 0.5:
+        return [u]
+    peeled = weights.copy()
+    peeled[du <= C * r] = 0.0
+    rest = float(peeled.sum())
+    if rest < y or rest <= 0.0:
+        return [u]
+    return [u] + _ref_below_half_centers(points, peeled, space, min(y / rest, 1.0), r)
+
+
+def _ball_bits(ball):
+    if ball is None:
+        return None
+    center = tuple(float(x).hex() for x in ball.center)
+    return center, float(ball.radius).hex(), float(ball.covered_weight).hex()
+
+
+@st.composite
+def _below_half_cases(draw):
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clumps = draw(st.integers(1, 4))
+    spread = 10.0 ** draw(st.integers(-2, 3))
+    anchors = rng.normal(size=(clumps, d)) * spread * 20.0
+    points = anchors[rng.integers(0, clumps, size=n)] + rng.normal(size=(n, d)) * spread
+    if draw(st.booleans()):
+        # duplicate points: copy some rows over others
+        src = rng.integers(0, n, size=n // 2)
+        points[rng.integers(0, n, size=n // 2)] = points[src]
+    if draw(st.booleans()):
+        # signed zeros: both 0.0 and -0.0 coordinates, duplicates differing only in sign
+        zeros = rng.random(size=points.shape) < 0.3
+        points[zeros] = np.where(rng.random(size=points.shape) < 0.5, 0.0, -0.0)[zeros]
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n)))
+    weights[draw(st.integers(0, n - 1))] = 1.0
+    alpha = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.6, 1.0]), st.floats(0.05, 1.0)))
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    r = spread * 2.0 ** draw(st.integers(-6, 4))
+    return points, weights, alpha, p, r
+
+
+@given(_below_half_cases())
+@example((np.array([[0.0], [-0.0], [0.0]]), np.array([1.0, 0.0, 1.0]), 0.3, 2.0, 1.0))
+@example((np.zeros((5, 2)), np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 0.1, math.inf, 1.0))
+@settings(max_examples=120, deadline=None)
+def test_memoized_below_half_recursion_matches_the_reference_bit_for_bit(case):
+    points, weights, alpha, p, r = case
+    ps = WeightedPointSet.from_coords(points, weights)
+    d = points.shape[1]
+    fast, slow = RowCountingLp(p, d), RowCountingLp(p, d)
+    got_cover = below_half_cover(ps, fast, alpha, r)
+    got_ball = cluster_any_alpha(ps, fast, alpha, r)
+    with mock.patch.object(cover, "_below_half_centers", _ref_below_half_centers):
+        want_cover = below_half_cover(ps, slow, alpha, r)
+        want_ball = cluster_any_alpha(ps, slow, alpha, r)
+    assert len(got_cover.balls) == len(want_cover.balls)
+    assert [_ball_bits(b) for b in got_cover.balls] == [_ball_bits(b) for b in want_cover.balls]
+    assert _ball_bits(got_ball) == _ball_bits(want_ball)
+    assert fast.rows <= slow.rows
+    # every memo entry is what its key says: a block's distance row to a
+    # center, or a block's first-level pair norms
+    padded, padded_weights = cover._pad_pow2(points, weights)
+    memo = {}
+    cover._below_half_centers(padded, padded_weights, slow, alpha, r, 0, memo)
+    for key, row in memo.items():
+        block = padded[key[0] : key[0] + key[1]]
+        if len(key) == 3:
+            want = slow.distances(block, np.frombuffer(key[2]))
+        else:
+            want = slow.norms(block[0::2] - block[1::2])
+        assert row.tobytes() == want.tobytes()

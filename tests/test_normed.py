@@ -279,11 +279,14 @@ def test_refine_loop_matches_naive_loop_bit_for_bit(case):
     points, weights, center, alpha, p, r = case
     fast_space = RowCountingLp(p, points.shape[1])
     slow_space = RowCountingLp(p, points.shape[1])
-    got = _refine_loop(points, weights, fast_space, center, alpha, r)
+    got, d = _refine_loop(points, weights, fast_space, center, alpha, r)
     want = _naive_refine_loop(points, weights, slow_space, center, alpha, r)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert fast_space.rows <= slow_space.rows
+    # a returned row is the returned center's distances, bit for bit
+    if d is not None:
+        assert d.tobytes() == LpSpace(p, points.shape[1]).distances(points, got).tobytes()
 
 
 def test_refine_loop_skips_stationary_steps_at_small_eps():
@@ -293,8 +296,12 @@ def test_refine_loop_skips_stationary_steps_at_small_eps():
     fast_space = RowCountingLp(2.0, 2)
     slow_space = RowCountingLp(2.0, 2)
     start = inst.ps.coords[0]
-    got = _refine_loop(inst.ps.coords, inst.ps.weights, fast_space, start, alpha, inst.r)
+    got, d = _refine_loop(inst.ps.coords, inst.ps.weights, fast_space, start, alpha, inst.r)
     want = _naive_refine_loop(inst.ps.coords, inst.ps.weights, slow_space, start, alpha, inst.r)
     assert got.tobytes() == want.tobytes()
     assert slow_space.rows >= 1000 * 64
     assert fast_space.rows * 10 <= slow_space.rows
+    # the loop ends on a stationary step and hands back that step's row
+    assert d is not None
+    assert d.tobytes() == LpSpace(2.0, 2).distances(inst.ps.coords, got).tobytes()
+
