@@ -74,6 +74,14 @@ def _parse_p(text: str) -> float:
         raise UsageError(f"cannot parse p value {text!r}") from None
 
 
+def _parse_number(cast, token: str, option: str):
+    """``cast(token)`` for one comma-separated token of ``option``."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise UsageError(f"cannot parse {option} value {token!r}") from None
+
+
 def _emit(doc: dict, output: str | None, started: float) -> None:
     doc["schema_version"] = OUTPUT_SCHEMA_VERSION
     doc["wall_time_s"] = time.perf_counter() - started
@@ -304,7 +312,7 @@ def cmd_verify(args) -> int:
     else:
         if args.center is None:
             raise UsageError("coordinate verification needs --center x1,x2,...")
-        center = np.array([float(t) for t in args.center.split(",")])
+        center = np.array([_parse_number(float, t, "--center") for t in args.center.split(",")])
         if center.shape[0] != ps.d:
             raise UsageError(f"--center has {center.shape[0]} coordinates, expected {ps.d}")
     ok, covered = verify_ball(ps, backend, center, args.radius, args.alpha, rel_tol=args.verify_tol)
@@ -368,7 +376,7 @@ def cmd_cover(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
-    sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
+    sizes = [_parse_number(int, t, "--sizes") for t in args.sizes.split(",") if t.strip()]
     if len(sizes) < 4:
         raise UsageError(f"bench needs at least 4 grid sizes, got {len(sizes)}")
     if sorted(set(sizes)) != sizes:

@@ -1,8 +1,8 @@
 """Shared test helpers: reference implementations and counting wrappers.
 
 The reference selection here is deliberately written in plain python,
-independent of the library's numpy and compiled paths, so the tests can
-cross-check all backends against something simple enough to eyeball.
+independent of the library's numpy path, so the tests can cross-check
+that path against something simple enough to eyeball.
 """
 
 import numpy as np

@@ -247,6 +247,20 @@ def test_verify_command_rejects_non_finite_ball(lp_csv, capsys, first_coord, rad
     assert named in err
 
 
+@pytest.mark.parametrize("command, token", [("verify", "a"), ("bench", "x")])
+def test_malformed_numbers_are_usage_errors_without_traceback(lp_csv, command, token):
+    path, _ = lp_csv
+    argv = {
+        "verify": ["verify", "--input", path, "--alpha", "0.75", "--radius", "1", "--center", "a,b"],
+        "bench": ["bench", "--sizes", "1,x,3,4"],
+    }[command]
+    out = subprocess.run([sys.executable, "-m", "onecenter", *argv], capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ")
+    assert repr(token) in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_command_metric_needs_index(metric_matrix, capsys):
     path, inst = metric_matrix
     code, _, err = run_cli(

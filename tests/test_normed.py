@@ -212,6 +212,43 @@ def test_halfplus_deterministic_bit_identical():
     assert a.covered_weight == b.covered_weight
 
 
+def _halfplus_row_bound(n, alpha):
+    # see test_halfplus_norm_rows_are_linear_in_n
+    cap = refine_iteration_cap(alpha)
+    rows, m = n, n
+    while m > 1:
+        rows += (m + 1) // 2 + cap * m
+        m = (m + 1) // 2
+    return rows
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+def test_halfplus_norm_rows_are_linear_in_n(alpha):
+    """The paper's O(nd) for cluster_halfplus, as norm rows counted.
+
+    Bound, from the code: a level of m > 1 points spends ceil(m/2) rows
+    on its pair reduction and hands ceil(m/2) points to the level below;
+    a level of one point spends nothing.  Each pass of the level's refine
+    loop evaluates one distance row per point (m rows) and shrinks K by
+    (1 - eps) at least once, and K needs at most
+    refine_iteration_cap(alpha) shrinks to fall from 3C + 4 to C.  So a
+    level costs at most ceil(m/2) + cap * m rows; cluster_halfplus adds
+    at most n rows for the final coverage.  Summed over the halving
+    levels that is about (2 * cap + 2) * n, linear in n for fixed alpha.
+    """
+    sizes = [1024, 4096, 16384, 65536]
+    rows = []
+    for n in sizes:
+        inst = generate_planted("lp", n=n, d=2, alpha=alpha, r=1.0, seed=1)
+        space = RowCountingLp(2.0, 2)
+        ball = cluster_halfplus(inst.ps, space, alpha=alpha, r=1.0)
+        assert ball.covered_weight >= alpha * inst.ps.total_weight
+        assert space.rows <= _halfplus_row_bound(n, alpha)
+        rows.append(space.rows)
+    slope = np.polyfit(np.log(sizes), np.log(rows), 1)[0]
+    assert abs(slope - 1.0) <= 0.05, (rows, slope)
+
+
 def test_halfplus_argument_validation():
     ps = WeightedPointSet.from_coords(np.zeros((4, 3)))
     with pytest.raises(UnsupportedFractionError):

@@ -1,9 +1,6 @@
 """Weighted selection: pinned examples, oracle cross-checks, and properties."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -19,7 +16,7 @@ from onecenter import (
     weighted_quantile_radius,
 )
 from onecenter import selection
-from onecenter.selection import _kernel_select, _select_sorted, best_candidate
+from onecenter.selection import _select_sorted, best_candidate
 
 from conftest import scan_select
 
@@ -162,39 +159,8 @@ def test_quantile_radius_is_definitional(data, alpha):
         assert best_below < target + 1e-9 * total
 
 
-@pytest.mark.skipif(_kernel_select is None, reason="compiled kernel not built")
-def test_compiled_kernel_bit_identical_to_numpy_path():
-    rng = np.random.default_rng(99)
-    for _ in range(300):
-        n = int(rng.integers(1, 400))
-        values = np.round(rng.normal(size=n) * 20.0, 3)
-        weights = rng.choice([0.0, 0.25, 1.0, 3.0], size=n)
-        if weights.sum() == 0.0:
-            weights[0] = 2.0
-        target = float(rng.uniform(1e-9, weights.sum()))
-        assert _kernel_select(values, weights, target) == _select_sorted(
-            values, weights, target
-        )
-
-
 def test_kernel_backend_reports_known_name():
-    assert kernel_backend() in ("cython", "numpy")
-
-
-def test_python_backend_env_var_gives_same_results():
-    code = (
-        "from onecenter import weighted_median, kernel_backend;"
-        "print(kernel_backend());"
-        "print(repr(weighted_median([1.5, 2.5, 3.5, 9.0], [1, 2, 1, 1])))"
-    )
-    env = dict(os.environ, ONECENTER_KERNEL="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    backend, value = out.stdout.split()
-    assert backend == "numpy"
-    assert value == repr(weighted_median([1.5, 2.5, 3.5, 9.0], [1, 2, 1, 1]))
+    assert kernel_backend() == "numpy"
 
 
 def _rowwise(block, weights, target):
