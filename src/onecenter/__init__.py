@@ -11,7 +11,6 @@ distance oracle (block recursion with counted queries).
 from .core import CandidateBall, WeightedPointSet, covered_weight
 from .cover import (
     CoverResult,
-    GapInstance,
     InnerSolver,
     any_alpha_constant,
     any_alpha_solver,
@@ -76,7 +75,6 @@ from .oracle import (
     CallableOracle,
     DistanceOracle,
     MatrixOracle,
-    MemoizedOracle,
     PaddedOracle,
 )
 from .selection import (
@@ -99,12 +97,10 @@ __all__ = [
     "CoverResult",
     "DegenerateInputError",
     "DistanceOracle",
-    "GapInstance",
     "InnerSolver",
     "LpSpace",
     "MatrixOracle",
     "MedianNormReport",
-    "MemoizedOracle",
     "MetricCover",
     "NormedSpaceOps",
     "OneCenterError",

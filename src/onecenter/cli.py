@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import WeightedPointSet
+from .core import CandidateBall, WeightedPointSet, require_radius
 from .cover import (
     any_alpha_constant,
     below_half_cover,
@@ -59,10 +59,6 @@ class UsageError(Exception):
 
 class NoSolution(Exception):
     """The solver ran but produced no verified ball; exit code 2."""
-
-    def __init__(self, message: str, payload: dict | None = None):
-        super().__init__(message)
-        self.payload = payload or {}
 
 
 def _parse_p(text: str) -> float:
@@ -127,40 +123,80 @@ def _load_input(path: str, fmt: str, space: str | None, p: float):
 
 
 def _resolve_r(args, inst) -> float | None:
-    if args.r is not None:
-        return args.r
-    if inst is not None:
-        return inst.r
-    return None
+    r = args.r
+    if r is None and inst is not None:
+        r = inst.r
+    if r is not None:
+        require_radius(r)
+    return r
 
 
-def _normed_single(solver: str, ps, ops, alpha: float, args, inst):
-    """Dispatch one normed-space solver call at a fixed radius r."""
-    r = _resolve_r(args, inst)
-    if r is None:
-        raise UsageError(f"solver {solver!r} requires --r (the assumed inlier radius)")
+def _tolerance(text: str) -> float:
+    """argparse type of --verify-tol: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
-    def run(radius: float):
-        if solver == "halfplus":
-            return cluster_halfplus(ps, ops, alpha, radius), halfplus_constant(alpha)
-        if solver == "any-alpha":
-            return cluster_any_alpha(ps, ops, alpha, radius), any_alpha_constant(alpha)
-        if solver == "logtower":
-            return (
-                cluster_logtower(ps, ops, alpha, args.k, radius),
-                logtower_constant(alpha, args.k),
-            )
-        raise UsageError(f"unknown normed solver {solver!r}")
 
-    if solver == "halfplus" and not 0.5 < alpha <= 1.0:
-        raise UsageError("cluster-halfplus requires alpha in (1/2, 1]")
+def _ball_fields(ball: CandidateBall, covered: float, total: float) -> dict:
+    return {
+        "center": _center_json(ball.center),
+        "center_index": ball.center_index,
+        "radius": ball.radius,
+        "covered_weight": covered,
+        "fraction_achieved": covered / total,
+    }
+
+
+def _cover_fields(C: int, cover, oracle) -> dict:
+    return {
+        "C": C,
+        "balls": [{"center_index": c, "radius": s} for c, s in zip(cover.centers, cover.radii)],
+        "approx_constant": cover.approx_constant,
+        "query_count": oracle.query_count,
+    }
+
+
+# Solvers by --solver name.  Each entry looks its solver up in this
+# module's globals when called, so a wrapper swapped into the module
+# attribute (as perfbench's tracer does) sees every call.
+METRIC_SOLVERS = {
+    "halfplus": lambda ps, oracle, alpha, C: metric_halfplus(ps, oracle, alpha, C),
+    "brute-force": lambda ps, oracle, alpha, C: brute_force_best(ps, oracle, alpha),
+    "cover": lambda ps, oracle, alpha, C: metric_cover(ps, oracle, alpha, C),
+    "quadratic": lambda ps, oracle, alpha, C: metric_quadratic(ps, oracle, alpha),
+}
+# name -> (ps, ops, alpha, r, k) -> (ball or None, approximation constant)
+NORMED_SOLVERS = {
+    "halfplus": lambda ps, ops, alpha, r, k: (cluster_halfplus(ps, ops, alpha, r), halfplus_constant(alpha)),
+    "any-alpha": lambda ps, ops, alpha, r, k: (
+        cluster_any_alpha(ps, ops, alpha, r),
+        any_alpha_constant(alpha),
+    ),
+    "logtower": lambda ps, ops, alpha, r, k: (
+        cluster_logtower(ps, ops, alpha, k, r),
+        logtower_constant(alpha, k),
+    ),
+}
+
+
+def _lookup(table: dict, solver: str, space: str):
+    if solver in table:
+        return table[solver]
+    if solver == "lp-median" or solver in METRIC_SOLVERS or solver in NORMED_SOLVERS:
+        raise UsageError(f"solver {solver!r} does not run on {space} input")
+    raise UsageError(f"unknown solver {solver!r}")
+
+
+def _normed_single(solve, ps, ops, alpha: float, r: float, args):
+    """``solve`` at r; under --search-r, at r, 2r, 4r, ... until its ball verifies."""
     if not args.search_r:
-        ball, constant = run(r)
-        return ball, constant, r
+        return (*solve(ps, ops, alpha, r, args.k), r)
     radius = r
     for _ in range(_SEARCH_R_CAP):
         try:
-            ball, constant = run(radius)
+            ball, constant = solve(ps, ops, alpha, radius, args.k)
         except DegenerateInputError:
             ball, constant = None, None
         if ball is not None:
@@ -171,140 +207,71 @@ def _normed_single(solver: str, ps, ops, alpha: float, args, inst):
     raise NoSolution(f"radius search gave up after {_SEARCH_R_CAP} doublings from {r}")
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    p = _parse_p(args.p)
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, p)
+def _solve_metric(doc: dict, solver: str, ps, oracle, args, inst) -> bool:
+    if args.r is not None or args.search_r:
+        raise UsageError("metric solvers take no --r; they find the radius themselves")
+    alpha, C = args.alpha, args.C
+    result = _lookup(METRIC_SOLVERS, solver, "metric")(ps, oracle, alpha, C)
+    if solver in ("cover", "quadratic"):
+        doc.update(_cover_fields(1 if solver == "quadratic" else C, result, oracle))
+        doc.update(fraction=result.fraction, verified=len(result.centers) > 0)
+        return doc["verified"]
+    total = ps.total_weight
+    doc.update(_ball_fields(result, result.covered_weight, total), query_count=oracle.query_count)
+    if solver == "brute-force":
+        doc.update(approx_constant=1.0, verified=True)
+    else:
+        verified = result.covered_weight >= alpha * total - args.verify_tol * total
+        doc.update(C=C, approx_constant=2.0 * C, verified=bool(verified))
+    return doc["verified"]
+
+
+def _solve_coords(doc: dict, solver: str, ps, ops, args, inst) -> bool:
     alpha = args.alpha
-    solver = args.solver or {"lp": "lp-median", "normed": "halfplus", "metric": "cover"}[space]
-
-    doc: dict = {
-        "command": "solve",
-        "space": space,
-        "solver": solver,
-        "alpha": alpha,
-        "n": ps.n,
-    }
-
-    if space == "metric":
-        if args.r is not None or args.search_r:
-            raise UsageError("metric solvers take no --r; they find the radius themselves")
-        C = args.C
-        oracle = backend
-        if solver == "halfplus":
-            ball = metric_halfplus(ps, oracle, alpha, C)
-            doc.update(
-                {
-                    "C": C,
-                    "center": _center_json(ball.center),
-                    "center_index": ball.center_index,
-                    "radius": ball.radius,
-                    "covered_weight": ball.covered_weight,
-                    "fraction_achieved": ball.covered_weight / ps.total_weight,
-                    "approx_constant": 2.0 * C,
-                    "query_count": oracle.query_count,
-                }
-            )
-            verified = ball.covered_weight >= alpha * ps.total_weight - args.verify_tol * ps.total_weight
-            doc["verified"] = bool(verified)
-            _emit(doc, args.output, started)
-            return 0 if verified else 2
-        if solver in ("cover", "quadratic"):
-            cover = (
-                metric_quadratic(ps, oracle, alpha)
-                if solver == "quadratic"
-                else metric_cover(ps, oracle, alpha, C)
-            )
-            doc.update(
-                {
-                    "C": 1 if solver == "quadratic" else C,
-                    "balls": [
-                        {"center_index": c, "radius": s}
-                        for c, s in zip(cover.centers, cover.radii)
-                    ],
-                    "fraction": cover.fraction,
-                    "approx_constant": cover.approx_constant,
-                    "query_count": oracle.query_count,
-                }
-            )
-            doc["verified"] = len(cover.centers) > 0
-            _emit(doc, args.output, started)
-            return 0 if cover.centers else 2
-        if solver == "brute-force":
-            ball = brute_force_best(ps, oracle, alpha)
-            doc.update(
-                {
-                    "center": _center_json(ball.center),
-                    "center_index": ball.center_index,
-                    "radius": ball.radius,
-                    "covered_weight": ball.covered_weight,
-                    "fraction_achieved": ball.covered_weight / ps.total_weight,
-                    "approx_constant": 1.0,
-                    "query_count": oracle.query_count,
-                }
-            )
-            doc["verified"] = True
-            _emit(doc, args.output, started)
-            return 0
-        raise UsageError(f"unknown metric solver {solver!r}")
-
-    ops = backend
     if solver == "lp-median":
-        if space != "lp":
+        if doc["space"] != "lp":
             raise UsageError("lp-median runs under --space lp")
-        if not 0.5 < alpha <= 1.0:
-            raise UsageError("lp-median requires alpha in (1/2, 1]")
         x = lp_coordinate_median(ps, ops, alpha)
-        d = ops.distances(ps.coords, x)
-        radius = weighted_quantile_radius(d, ps.weights, alpha)
+        radius = weighted_quantile_radius(ops.distances(ps.coords, x), ps.weights, alpha)
         ok, covered = verify_ball(ps, ops, x, radius, alpha, rel_tol=args.verify_tol)
-        doc.update(
-            {
-                "p": "inf" if math.isinf(ops.p) else ops.p,
-                "center": _center_json(x),
-                "center_index": None,
-                "radius": radius,
-                "covered_weight": covered,
-                "fraction_achieved": covered / ps.total_weight,
-                "approx_constant": None if math.isinf(ops.p) else lp_median_bound(alpha, ops.p) + 1.0,
-                "query_count": None,
-                "verified": bool(ok),
-            }
-        )
+        finite_p = not math.isinf(ops.p)
+        constant = lp_median_bound(alpha, ops.p) + 1.0 if finite_p else None
+        doc.update(_ball_fields(CandidateBall(x, radius, covered), covered, ps.total_weight))
+        doc.update(p=ops.p if finite_p else "inf", approx_constant=constant)
+        doc.update(query_count=None, verified=bool(ok))
         r = _resolve_r(args, inst)
-        if r is not None and not math.isinf(ops.p):
-            doc["bound_radius"] = (lp_median_bound(alpha, ops.p) + 1.0) * r
-        _emit(doc, args.output, started)
-        return 0 if ok else 2
-
-    ball, constant, used_r = _normed_single(solver, ps, ops, alpha, args, inst)
+        if r is not None and finite_p:
+            doc["bound_radius"] = constant * r
+        return ok
+    solve = _lookup(NORMED_SOLVERS, solver, doc["space"])
+    r = _resolve_r(args, inst)
+    if r is None:
+        raise UsageError(f"solver {solver!r} requires --r (the assumed inlier radius)")
+    ball, constant, used_r = _normed_single(solve, ps, ops, alpha, r, args)
     if ball is None:
         doc.update({"r": used_r, "verified": False, "found": False})
-        _emit(doc, args.output, started)
-        return 2
+        return False
     ok, covered = verify_ball(ps, ops, ball.center, ball.radius, alpha, rel_tol=args.verify_tol)
-    doc.update(
-        {
-            "r": used_r,
-            "k": args.k if solver == "logtower" else None,
-            "center": _center_json(ball.center),
-            "center_index": None,
-            "radius": ball.radius,
-            "covered_weight": covered,
-            "fraction_achieved": covered / ps.total_weight,
-            "approx_constant": constant,
-            "query_count": None,
-            "verified": bool(ok),
-        }
-    )
+    doc.update(_ball_fields(ball, covered, ps.total_weight))
+    doc.update(r=used_r, k=args.k if solver == "logtower" else None, approx_constant=constant)
+    doc.update(query_count=None, verified=bool(ok))
+    return ok
+
+
+def cmd_solve(args) -> int:
+    started = time.perf_counter()
+    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
+    solver = args.solver or {"lp": "lp-median", "normed": "halfplus", "metric": "cover"}[space]
+    doc: dict = {"command": "solve", "space": space, "solver": solver, "alpha": args.alpha, "n": ps.n}
+    solve = _solve_metric if space == "metric" else _solve_coords
+    ok = solve(doc, solver, ps, backend, args, inst)
     _emit(doc, args.output, started)
     return 0 if ok else 2
 
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    p = _parse_p(args.p)
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, p)
+    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
     if space == "metric":
         if args.center_index is None:
             raise UsageError("metric verification needs --center-index")
@@ -332,23 +299,13 @@ def cmd_verify(args) -> int:
 
 def cmd_cover(args) -> int:
     started = time.perf_counter()
-    p = _parse_p(args.p)
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, p)
+    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
     doc: dict = {"command": "cover", "space": space, "alpha": args.alpha, "n": ps.n}
     if space == "metric":
         if args.r is not None:
             raise UsageError("metric covers take no --r")
         cover = metric_cover(ps, backend, args.alpha, args.C)
-        doc.update(
-            {
-                "C": args.C,
-                "balls": [
-                    {"center_index": c, "radius": s} for c, s in zip(cover.centers, cover.radii)
-                ],
-                "approx_constant": cover.approx_constant,
-                "query_count": backend.query_count,
-            }
-        )
+        doc.update(_cover_fields(args.C, cover, backend))
         _emit(doc, args.output, started)
         return 0 if cover.centers else 2
     r = _resolve_r(args, inst)
@@ -359,11 +316,7 @@ def cmd_cover(args) -> int:
         {
             "r": r,
             "balls": [
-                {
-                    "center": _center_json(b.center),
-                    "radius": b.radius,
-                    "covered_weight": b.covered_weight,
-                }
+                {"center": _center_json(b.center), "radius": b.radius, "covered_weight": b.covered_weight}
                 for b in result.balls
             ],
             "approx_constant": result.approx_constant,
@@ -383,20 +336,12 @@ def cmd_bench(args) -> int:
         raise UsageError("bench sizes must be strictly increasing")
     if not 0.5 < args.alpha <= 1.0:
         raise UsageError("bench uses the above-half metric solver; pass alpha in (1/2, 1]")
+    solve = METRIC_SOLVERS[args.solver]
     rows = []
     for n in sizes:
-        inst = generate_planted(
-            "metric", n=n, d=args.d, alpha=args.alpha, seed=args.seed + n, weights="unit"
-        )
+        inst = generate_planted("metric", n=n, d=args.d, alpha=args.alpha, seed=args.seed + n, weights="unit")
         oracle = MatrixOracle(inst.matrix, validate="none")
-        if args.solver == "halfplus":
-            metric_halfplus(inst.ps, oracle, args.alpha, args.C)
-        elif args.solver == "quadratic":
-            metric_quadratic(inst.ps, oracle, args.alpha)
-        elif args.solver == "cover":
-            metric_cover(inst.ps, oracle, args.alpha, args.C)
-        else:
-            raise UsageError(f"unknown bench solver {args.solver!r}")
+        solve(inst.ps, oracle, args.alpha, args.C)
         rows.append({"n": n, "queries": oracle.query_count})
     slope, intercept = np.polyfit(
         np.log([row["n"] for row in rows]), np.log([row["queries"] for row in rows]), 1
@@ -413,9 +358,7 @@ def cmd_bench(args) -> int:
         "slope": float(slope),
         "intercept": float(intercept),
         "expected_slope": expected,
-        "slope_within_tolerance": (
-            None if expected is None else bool(abs(slope - expected) <= 0.15)
-        ),
+        "slope_within_tolerance": None if expected is None else bool(abs(slope - expected) <= 0.15),
     }
     _emit(doc, args.output, started)
     return 0
@@ -490,8 +433,7 @@ def cmd_opnorm_demo(args) -> int:
 
 def cmd_baseline(args) -> int:
     started = time.perf_counter()
-    p = _parse_p(args.p)
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, p)
+    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
     r = _resolve_r(args, inst)
     if r is None:
         raise UsageError("the randomized baseline requires --r")
@@ -536,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
         sp.add_argument("--p", default="2", help="l_p parameter for coordinate spaces ('inf' allowed)")
-        sp.add_argument("--verify-tol", type=float, default=1e-12, help="relative verification slack")
+        sp.add_argument("--verify-tol", type=_tolerance, default=1e-12, help="relative verification slack")
 
     sp = sub.add_parser("solve", help="run one solver and verify its ball")
     add_io(sp)
@@ -544,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--solver",
         default=None,
-        help="lp-median | halfplus | any-alpha | logtower | cover | quadratic | brute-force",
+        help=(
+            f"lp: lp-median; lp or normed: {' | '.join(NORMED_SOLVERS)}; "
+            f"metric: {' | '.join(METRIC_SOLVERS)}"
+        ),
     )
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None, help="assumed inlier radius (normed solvers)")

@@ -111,6 +111,12 @@ def require_positive_weight(ps: WeightedPointSet) -> None:
         raise ArgumentError("total weight must be positive")
 
 
+def require_radius(r: float) -> None:
+    """Raise ArgumentError unless the assumed inlier radius r is finite and positive."""
+    if not 0.0 < r < math.inf:
+        raise ArgumentError(f"r must be finite and positive, got {r}")
+
+
 def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: float) -> float:
     """Total weight within distance <= radius of center (closed ball).
 

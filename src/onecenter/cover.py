@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, require_positive_weight
+from .core import CandidateBall, WeightedPointSet, require_positive_weight, require_radius
 from .errors import ArgumentError, UnsupportedFractionError
 from .normed import _halfplus_center
 from .spaces import NormedSpaceOps
@@ -103,31 +103,6 @@ class CoverResult:
         return [b.center for b in self.balls]
 
 
-@dataclass(frozen=True)
-class GapInstance:
-    """A point set with the parameters of a hypothesized gap ball.
-
-    The gap condition at fraction alpha says some radius-r ball B
-    outweighs its shell: w(B) >= w(B^(2C+3) \\ B) + alpha*w, with
-    C = 2 + 2/alpha.
-    """
-
-    ps: WeightedPointSet
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ArgumentError(f"alpha must be in (0, 1], got {self.alpha}")
-
-    @property
-    def C(self) -> float:
-        return gap_constant(self.alpha)
-
-    @property
-    def outer_factor(self) -> float:
-        return 2.0 * self.C + 3.0
-
-
 SingleBallSolver = Callable[[WeightedPointSet, float, float], Optional[CandidateBall]]
 
 
@@ -169,8 +144,9 @@ def ball_cover(
     """
     if not 0.0 < alpha <= beta <= 1.0:
         raise ArgumentError(f"need 0 < alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
-    if C <= 0 or r <= 0:
-        raise ArgumentError("C and r must be positive")
+    if C <= 0:
+        raise ArgumentError(f"C must be positive, got {C}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("ball_cover needs explicit coordinates")
     require_positive_weight(ps)
@@ -310,8 +286,7 @@ def below_half_cover(
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("below_half_cover needs explicit coordinates")
     require_positive_weight(ps)
@@ -348,8 +323,7 @@ def cluster_any_alpha(
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("cluster_any_alpha needs explicit coordinates")
     require_positive_weight(ps)
@@ -431,8 +405,7 @@ def bucket_reduce(
         raise UnsupportedFractionError(
             f"bucket_reduce needs alpha <= 1/2 so that sqrt(2*alpha) <= 1, got {alpha}"
         )
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("bucket_reduce needs explicit coordinates")
     if inner.min_fraction > alpha:
@@ -529,8 +502,7 @@ def cluster_logtower(
         raise ArgumentError(f"beta must be in (0, 1), got {beta}")
     if k < 0 or int(k) != k:
         raise ArgumentError(f"k must be a nonnegative integer, got {k}")
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if k == 0:
         return cluster_any_alpha(ps, space, beta, r)
     base_fraction = logtower_base_fraction(beta, k)

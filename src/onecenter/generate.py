@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightedPointSet, covered_weight
+from .core import WeightedPointSet, covered_weight, require_radius
 from .cover import gap_constant
 from .errors import ArgumentError
 from .oracle import DistanceOracle, MatrixOracle
@@ -139,8 +139,9 @@ def generate_planted(
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     if n < 2 or d < 1:
         raise ArgumentError("need n >= 2 and d >= 1")
-    if r <= 0.0 or separation < 4.0:
-        raise ArgumentError("need r > 0 and separation >= 4")
+    require_radius(r)
+    if not 4.0 <= separation < math.inf:
+        raise ArgumentError(f"separation must be finite and at least 4, got {separation}")
     if space == "metric" and n > _METRIC_MAX_N:
         raise ArgumentError(f"metric instances build an n*n matrix; n is capped at {_METRIC_MAX_N}")
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, require_positive_weight
+from .core import CandidateBall, WeightedPointSet, require_positive_weight, require_radius
 from .errors import ArgumentError, DegenerateInputError, UnsupportedFractionError
 from .spaces import NormedSpaceOps
 
@@ -89,8 +89,7 @@ def pair_reduce(ps: WeightedPointSet, space: NormedSpaceOps, r: float) -> PairRe
     weight fraction alpha > 1/2, the reduced one has a radius-3r ball
     holding the same fraction of the new total.
     """
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("pair_reduce needs explicit coordinates")
     pts, v = _pair_reduce_arrays(ps.coords, ps.weights, space, r)
@@ -115,8 +114,7 @@ def centroid_refine(
     eps = alpha - 0.5
     if not 0.0 < eps <= 0.5:
         raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if K < 2.0 + 1.0 / eps - 1e-9:
         raise ArgumentError(f"K must be at least 2 + 1/eps = {2 + 1/eps}, got {K}")
     if ps.coords is None:
@@ -211,8 +209,7 @@ def cluster_halfplus(
     """
     if not 0.5 < alpha <= 1.0:
         raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
-    if r <= 0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     if ps.coords is None:
         raise ArgumentError("cluster_halfplus needs explicit coordinates")
     require_positive_weight(ps)

@@ -5,8 +5,7 @@ counter is the complexity measure those solvers are benchmarked on.
 Each scalar distance evaluation costs one query, a batched row of k
 distances costs k, and a block of r rows by c columns costs r * c.
 There is deliberately no global memoization: counts must reflect what a
-from-scratch run would pay.  ``MemoizedOracle`` exists separately for
-callers that want caching and know it skews counts.
+from-scratch run would pay.
 """
 
 from __future__ import annotations
@@ -243,35 +242,3 @@ class PaddedOracle(DistanceOracle):
 
     def _dist_impl(self, i: int, j: int) -> float:  # pragma: no cover
         return self.base._dist_impl(self._map(i), self._map(j))
-
-
-class MemoizedOracle(DistanceOracle):
-    """Caching wrapper: repeated pairs cost nothing after the first hit.
-
-    Counts reflect cache misses only, so they understate from-scratch
-    complexity; never use this when measuring query bounds.
-    """
-
-    def __init__(self, base: DistanceOracle):
-        super().__init__(base.size)
-        self.base = base
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def _dist_impl(self, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._cache:
-            self._cache[key] = self.base.dist(*key)
-        return self._cache[key]
-
-    def dist(self, i: int, j: int) -> float:
-        self._check_index(i)
-        self._check_index(j)
-        return float(self._dist_impl(i, j))
-
-    def dist_many(self, i: int, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        return np.array([self._dist_impl(i, int(j)) for j in idx], dtype=np.float64)
-
-    @property
-    def query_count(self) -> int:
-        return self.base.query_count

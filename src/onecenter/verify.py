@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, covered_weight, require_positive_weight
+from .core import CandidateBall, WeightedPointSet, covered_weight, require_positive_weight, require_radius
 from .errors import ArgumentError
 from .oracle import DistanceOracle
 from .selection import best_candidate
@@ -40,8 +40,8 @@ def verify_ball(
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 <= radius < math.inf:
         raise ArgumentError(f"radius must be finite and nonnegative, got {radius}")
-    if rel_tol < 0.0:
-        raise ArgumentError(f"rel_tol must be nonnegative, got {rel_tol}")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ArgumentError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     if not isinstance(space, DistanceOracle) and not np.all(np.isfinite(center)):
         raise ArgumentError("center coordinates must be finite")
     total = ps.total_weight
@@ -112,8 +112,7 @@ def las_vegas_baseline(
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if r <= 0.0:
-        raise ArgumentError(f"r must be positive, got {r}")
+    require_radius(r)
     require_positive_weight(ps)
     if max_attempts is None:
         max_attempts = int(math.ceil(10.0 / alpha))

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from onecenter.cli import main
+from onecenter.cli import METRIC_SOLVERS, NORMED_SOLVERS, main
 from onecenter.formats import save_instance, write_matrix, write_points_csv
 from onecenter.generate import generate_planted
 from onecenter.normed import halfplus_constant
@@ -105,6 +105,69 @@ def test_metric_halfplus_payload_schema(metric_matrix, capsys):
         },
     }
     jsonschema.validate(doc, schema)
+
+
+def _run_raw(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "0.75"],
+        ["solve", "--solver", "halfplus", "--alpha", "0.75"],
+        ["solve", "--solver", "halfplus", "--alpha", "0.75", "--search-r"],
+        ["solve", "--solver", "any-alpha", "--alpha", "0.4"],
+        ["solve", "--solver", "logtower", "--alpha", "0.4", "--search-r"],
+        ["cover", "--alpha", "0.4"],
+        ["baseline", "--alpha", "0.75"],
+    ],
+)
+def test_non_finite_r_is_a_usage_error(lp_csv, capsys, argv, r):
+    code, out, err = _run_raw([*argv, "--input", lp_csv[0], f"--r={r}"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--r", "--separation"])
+def test_gen_non_finite_scale_is_a_usage_error(tmp_path, capsys, flag):
+    argv = ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", flag, "nan", "--out", str(tmp_path / "p.csv")]
+    code, out, err = _run_raw(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "p.csv", "--alpha", "0.75"],
+        ["solve", "--input", "d.txt", "--solver", "cover", "--alpha", "0.75"],
+        ["verify", "--input", "p.csv", "--alpha", "0.75", "--radius", "1", "--center", "0,0"],
+        ["cover", "--input", "p.csv", "--alpha", "0.4", "--r", "1"],
+        ["bench"],
+        ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "p.csv"],
+        ["opnorm-demo", "--k", "2"],
+        ["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1"],
+    ],
+)
+def test_bad_verify_tol_is_rejected_at_parse_time(capsys, argv, tol):
+    # argparse rejects the value before any input file is opened
+    code, out, err = _run_raw([*argv, f"--verify-tol={tol}"], capsys)
+    assert (code, out) == (1, "")
+    assert "--verify-tol" in err.splitlines()[-1]
+
+
+def test_solve_help_names_every_table_solver(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping inside a name
+    assert main(["solve", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name in ["lp-median", *NORMED_SOLVERS, *METRIC_SOLVERS]:
+        assert name in help_text
 
 
 def test_malformed_csv_reports_line_and_exits_1(tmp_path, capsys):

@@ -12,7 +12,6 @@ from onecenter import (
     CallableOracle,
     LpSpace,
     MatrixOracle,
-    MemoizedOracle,
     PaddedOracle,
     WeightedPointSet,
     covered_weight,
@@ -215,17 +214,6 @@ def test_padded_oracle_counts_against_base():
     assert padded.query_count == 5
     padded.reset_query_count()
     assert base.query_count == 0
-
-
-def test_memoized_oracle_charges_unique_pairs_once():
-    base = MatrixOracle(random_metric_matrix(np.random.default_rng(3), 6))
-    memo = MemoizedOracle(base)
-    a = memo.dist(1, 4)
-    assert memo.query_count == 1
-    assert memo.dist(4, 1) == a  # symmetric pair is the same cache slot
-    assert memo.query_count == 1
-    memo.dist_many(1, [4, 4, 2])
-    assert memo.query_count == 2
 
 
 def test_callable_oracle_wraps_a_function():

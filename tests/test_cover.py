@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from onecenter import (
     ArgumentError,
-    GapInstance,
     LpSpace,
     UnsupportedFractionError,
     WeightedPointSet,
@@ -53,15 +52,6 @@ def test_formula_identities():
         assert scale_base(alpha) == pytest.approx(
             2.0 * gap_constant(alpha / 2.0) + 3.0, rel=1e-15
         )
-
-
-def test_gap_instance_carries_its_constants():
-    ps = WeightedPointSet.from_coords(np.zeros((3, 2)))
-    gi = GapInstance(ps, 0.4)
-    assert gi.C == 2.0 + 2.0 / 0.4
-    assert gi.outer_factor == 2.0 * gi.C + 3.0
-    with pytest.raises(ArgumentError):
-        GapInstance(ps, 0.0)
 
 
 def test_logtower_constant_growth():

@@ -11,11 +11,20 @@ from onecenter import (
     LpSpace,
     MatrixOracle,
     WeightedPointSet,
+    any_alpha_solver,
+    ball_cover,
+    below_half_cover,
     brute_force_best,
+    bucket_reduce,
+    centroid_refine,
+    cluster_any_alpha,
+    cluster_halfplus,
+    cluster_logtower,
     covered_weight,
     gap_constant,
     generate_planted,
     las_vegas_baseline,
+    pair_reduce,
     verify_ball,
 )
 
@@ -102,6 +111,41 @@ def test_verify_ball_rejects_non_finite_radius(radius):
         verify_ball(ps, L2_2, np.array([0.0, 0.0]), radius, 0.5)
     with pytest.raises(ArgumentError, match="radius"):
         verify_ball(WeightedPointSet.indexed(2), MatrixOracle([[0.0, 1.0], [1.0, 0.0]]), 0, radius, 0.5)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-12])
+def test_verify_ball_rejects_non_finite_or_negative_tolerance(rel_tol):
+    ps = WeightedPointSet.from_coords([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ArgumentError, match="rel_tol"):
+        verify_ball(ps, L2_2, np.array([0.0, 0.0]), 1.0, 0.5, rel_tol=rel_tol)
+
+
+# every library entry point that takes the assumed inlier radius r
+RADIUS_CALLS = {
+    "cluster_halfplus": lambda ps, r: cluster_halfplus(ps, L2_2, 0.75, r),
+    "pair_reduce": lambda ps, r: pair_reduce(ps, L2_2, r),
+    "centroid_refine": lambda ps, r: centroid_refine(ps, L2_2, ps.coords[0], 10.0, r, 0.75),
+    "ball_cover": lambda ps, r: ball_cover(any_alpha_solver(L2_2, 0.4).solve, ps, L2_2, 0.4, 0.4, 1.0, r),
+    "below_half_cover": lambda ps, r: below_half_cover(ps, L2_2, 0.4, r),
+    "cluster_any_alpha": lambda ps, r: cluster_any_alpha(ps, L2_2, 0.4, r),
+    "bucket_reduce": lambda ps, r: bucket_reduce(ps, L2_2, 0.4, r, lambda m: m, any_alpha_solver(L2_2, 0.4)),
+    "cluster_logtower": lambda ps, r: cluster_logtower(ps, L2_2, 0.4, 1, r),
+    "las_vegas_baseline": lambda ps, r: las_vegas_baseline(ps, L2_2, 0.75, r, seed=0),
+}
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+def test_solvers_reject_non_finite_or_non_positive_radius(name, r):
+    ps = generate_planted("lp", n=16, d=2, alpha=0.75, seed=5).ps
+    with pytest.raises(ArgumentError, match="r must be finite and positive"):
+        RADIUS_CALLS[name](ps, r)
+
+
+@pytest.mark.parametrize("bad", [{"r": math.nan}, {"r": math.inf}, {"separation": math.nan}, {"separation": math.inf}])
+def test_generate_planted_rejects_non_finite_scales(bad):
+    with pytest.raises(ArgumentError):
+        generate_planted("lp", n=16, d=2, alpha=0.75, **bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
