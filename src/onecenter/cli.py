@@ -139,6 +139,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _ball_fields(ball: CandidateBall, covered: float, total: float) -> dict:
     return {
         "center": _center_json(ball.center),
@@ -525,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--C", type=int, default=2)
     sp.add_argument("--alpha", type=float, default=0.75)
     sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--sizes", default="64,256,1024,4096", help="comma-separated n grid (>= 4 sizes)")
     sp.set_defaults(func=cmd_bench)
 
@@ -537,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--separation", type=float, default=100.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--weights", choices=("unit", "dyadic"), default="unit")
     sp.add_argument("--mode", choices=("single", "two", "gap"), default="single")
     sp.add_argument("--outlier-frac", type=float, default=None)
@@ -550,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=32)
     sp.add_argument("--mode", choices=("sampled", "exhaustive"), default="sampled")
     sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_opnorm_demo)
 
     sp = sub.add_parser("baseline", help="randomized pick-and-verify comparator")
@@ -558,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_baseline)
 
     return parser

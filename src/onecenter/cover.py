@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -177,15 +178,14 @@ def ball_cover(
 # gap-condition cover (index-halving recursion)
 
 
-def _dedupe_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
+def _dedupe_rows(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    # lazy: reads rows only as far as the caller iterates
     seen = set()
-    out = []
     for row in rows:
         key = row.tobytes()
         if key not in seen:
             seen.add(key)
-            out.append(row)
-    return out
+            yield row
 
 
 def _below_half_centers(
@@ -196,24 +196,32 @@ def _below_half_centers(
     r: float,
     lo: int,
     memo: dict,
-) -> list[np.ndarray]:
+) -> Iterator[np.ndarray]:
     # points is the block at offset lo of the padded array, of
     # power-of-two length; weights may contain zeros.  memo belongs to
     # the top-level call and caches what depends only on the block:
     # distance rows under (lo, n, center bytes), first-level pair norms
     # under (lo, n).  Every miss goes through space.distances/norms.
+    # A generator: each center is computed only when the consumer asks
+    # for it, in the same order as a full list would hold them, so a
+    # consumer that stops early skips the rest (the right child, the
+    # peeled re-solve).  No caller may mutate points or weights while
+    # the generator is live.
     n = points.shape[0]
     if n == 1:
-        return [points[0]] if weights[0] > 0.0 else []
+        if weights[0] > 0.0:
+            yield points[0]
+        return
     w = float(np.add.reduce(weights))
     if w <= 0.0:
-        return []
+        return
     half = n // 2
-    candidates = _below_half_centers(points[:half], weights[:half], space, alpha, r, lo, memo)
-    candidates += _below_half_centers(
-        points[half:], weights[half:], space, alpha, r, lo + half, memo
+    candidates = _dedupe_rows(
+        chain(
+            _below_half_centers(points[:half], weights[:half], space, alpha, r, lo, memo),
+            _below_half_centers(points[half:], weights[half:], space, alpha, r, lo + half, memo),
+        )
     )
-    candidates = _dedupe_rows(candidates)
 
     def dist(c: np.ndarray) -> np.ndarray:
         key = (lo, n, c.tobytes())
@@ -245,18 +253,19 @@ def _below_half_centers(
             hit = (u, du)
             break
     if hit is None:
-        return []
+        return
     u, du = hit
+    yield u
     if alpha > 0.5:
         # a second disjoint qualifying ball would need more than the
         # total weight, so one center suffices
-        return [u]
+        return
     peeled = weights.copy()
     peeled[du <= C * r] = 0.0
     rest = float(np.add.reduce(peeled))
     if rest < y or rest <= 0.0:
-        return [u]
-    return [u] + _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
+        return
+    yield from _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
 
 
 def _pad_pow2(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +289,12 @@ def below_half_cover(
     Guarantee: if some radius-r ball B outweighs its (2C+3)r shell by
     alpha*w (the gap condition), then a listed ball intersects B.  The
     recursion halves the set by index (padded to a power of two with
-    zero-weight copies of the first point), collects candidate centers
-    from both halves, and runs the above-half solver restricted to a
-    (C+2)r neighborhood of each candidate until one verifies.
+    zero-weight copies of the first point), takes candidate centers
+    from the left half and then the right, and runs the above-half
+    solver restricted to a (C+2)r neighborhood of each candidate until
+    one verifies.  Candidates are generated lazily, so a half's later
+    candidates are computed only if the earlier ones all fail; the
+    cover needs every center and drains the top-level generator.
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
@@ -291,7 +303,7 @@ def below_half_cover(
         raise ArgumentError("below_half_cover needs explicit coordinates")
     require_positive_weight(ps)
     points, weights = _pad_pow2(ps.coords, ps.weights)
-    centers = _below_half_centers(points, weights, space, alpha, r, 0, {})
+    centers = list(_below_half_centers(points, weights, space, alpha, r, 0, {}))
     C = gap_constant(alpha)
     remaining = ps.weights.copy()
     balls = []
@@ -319,7 +331,10 @@ def cluster_any_alpha(
     fraction-alpha/2 cover at radius R produces a candidate whose
     (4/alpha+4)*R ball covers alpha*w.  Candidates are verified in
     scale-then-cover order; the first success is returned, None if the
-    hypothesis fails everywhere.
+    hypothesis fails everywhere.  The cover's centers are generated
+    lazily, so the rest of the cover and the later scales are never
+    computed once a candidate verifies; the answer is the one a full
+    cover would give, bit for bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")

@@ -139,6 +139,8 @@ def generate_planted(
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     if n < 2 or d < 1:
         raise ArgumentError("need n >= 2 and d >= 1")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     require_radius(r)
     if not 4.0 <= separation < math.inf:
         raise ArgumentError(f"separation must be finite and at least 4, got {separation}")

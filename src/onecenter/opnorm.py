@@ -227,6 +227,8 @@ def _sign_matrices_exhaustive(k: int) -> np.ndarray:
 
 def _sample_sign_matrices(k: int, samples: int, seed: int) -> np.ndarray:
     """Uniform draws from the same ensemble (all-minus-ones excluded)."""
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     mats = np.where(rng.integers(0, 2, size=(samples, k, k)) == 1, 1.0, -1.0)
     while True:

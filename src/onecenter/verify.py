@@ -114,6 +114,8 @@ def las_vegas_baseline(
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     require_radius(r)
     require_positive_weight(ps)
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if max_attempts is None:
         max_attempts = int(math.ceil(10.0 / alpha))
     rng = np.random.default_rng(seed)

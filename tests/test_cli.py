@@ -9,10 +9,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from onecenter import ArgumentError, las_vegas_baseline
 from onecenter.cli import METRIC_SOLVERS, NORMED_SOLVERS, main
 from onecenter.formats import save_instance, write_matrix, write_points_csv
 from onecenter.generate import generate_planted
 from onecenter.normed import halfplus_constant
+from onecenter.opnorm import median_counterexample_report
 
 
 def run_cli(argv, capsys):
@@ -160,6 +162,32 @@ def test_bad_verify_tol_is_rejected_at_parse_time(capsys, argv, tol):
     code, out, err = _run_raw([*argv, f"--verify-tol={tol}"], capsys)
     assert (code, out) == (1, "")
     assert "--verify-tol" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench"],
+        ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "q.csv"],
+        ["opnorm-demo", "--k", "2"],
+        ["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1"],
+    ],
+)
+def test_negative_seed_is_rejected_at_parse_time(capsys, argv):
+    code, out, err = _run_raw([*argv, "--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    last = err.splitlines()[-1]
+    assert "error:" in last and "--seed" in last
+
+
+def test_library_entry_points_reject_a_negative_seed():
+    inst = generate_planted("lp", n=20, d=2, alpha=0.75, seed=0)
+    with pytest.raises(ArgumentError):
+        generate_planted("lp", n=20, d=2, alpha=0.75, seed=-1)
+    with pytest.raises(ArgumentError):
+        las_vegas_baseline(inst.ps, inst.space_ops(), 0.75, inst.r, seed=-1)
+    with pytest.raises(ArgumentError):
+        median_counterexample_report(4, mode="sampled", samples=100, seed=-1)
 
 
 def test_solve_help_names_every_table_solver(capsys, monkeypatch):

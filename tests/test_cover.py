@@ -435,7 +435,10 @@ def test_memoized_below_half_recursion_matches_the_reference_bit_for_bit(case):
     # center, or a block's first-level pair norms
     padded, padded_weights = cover._pad_pow2(points, weights)
     memo = {}
-    cover._below_half_centers(padded, padded_weights, slow, alpha, r, 0, memo)
+    list(cover._below_half_centers(padded, padded_weights, slow, alpha, r, 0, memo))
+    # some point has positive weight, so any block of two or more points
+    # computes at least one distance row
+    assert memo or padded.shape[0] == 1
     for key, row in memo.items():
         block = padded[key[0] : key[0] + key[1]]
         if len(key) == 3:
@@ -443,3 +446,49 @@ def test_memoized_below_half_recursion_matches_the_reference_bit_for_bit(case):
         else:
             want = slow.norms(block[0::2] - block[1::2])
         assert row.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# norm rows of the lazy below-half recursion on planted gap instances
+
+
+def _gap_rows_per_point(solve, n):
+    inst = generate_planted("lp", n=n, d=2, alpha=0.3, r=1.0, seed=1, mode="gap")
+    space = RowCountingLp(2.0, 2)
+    solve(inst.ps, space, 0.3, inst.r)
+    return space.rows / n
+
+
+def _loglog_slope(ns, per_point):
+    return float(np.polyfit(np.log(ns), np.log(np.multiply(ns, per_point)), 1)[0])
+
+
+def test_lazy_below_half_norm_rows_are_linear_in_n_on_planted_gap_instances():
+    """Norm rows of cluster_any_alpha and below_half_cover on planted l_2,
+    d=2, alpha 0.3 gap instances (seed 1).
+
+    This pins what the lazy recursion does on these instances, not the
+    paper's worst-case bound.  Measured rows per point: cluster_any_alpha
+    14.3 / 14.5 / 14.5 / 14.5 at n = 1,024 / 4,096 / 16,384 / 65,536
+    (log-log slope 1.003); below_half_cover 21.0 / 20.5 / 20.5 at n =
+    1,024 / 4,096 / 16,384 (slope 0.992).  The bounds, 16 and 23, are
+    about 10% above the largest measured value.
+    """
+    ns = [1024, 4096, 16384, 65536]
+    any_alpha = [_gap_rows_per_point(cluster_any_alpha, n) for n in ns]
+    assert max(any_alpha) < 16.0, any_alpha
+    assert abs(_loglog_slope(ns, any_alpha) - 1.0) <= 0.1
+    cover_ns = ns[:3]
+    covers = [_gap_rows_per_point(below_half_cover, n) for n in cover_ns]
+    assert max(covers) < 23.0, covers
+    assert abs(_loglog_slope(cover_ns, covers) - 1.0) <= 0.1
+
+
+def test_lazy_below_half_recursion_skips_most_rows_of_the_eager_reference():
+    # cluster_any_alpha stops at its first verified center; the eager
+    # reference builds every candidate list in full.  Measured at n=1,024:
+    # 14.3 rows per point lazily, 447.6 with the reference
+    lazy = _gap_rows_per_point(cluster_any_alpha, 1024)
+    with mock.patch.object(cover, "_below_half_centers", _ref_below_half_centers):
+        eager = _gap_rows_per_point(cluster_any_alpha, 1024)
+    assert 4.0 * lazy <= eager, (lazy, eager)
