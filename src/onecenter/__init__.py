@@ -29,7 +29,6 @@ from .cover import (
 )
 from .errors import (
     ArgumentError,
-    ConvergenceError,
     DegenerateInputError,
     OneCenterError,
     ParseError,
@@ -67,7 +66,6 @@ from .normed import (
 from .opnorm import (
     MedianNormReport,
     OperatorNormSpace,
-    batched_norm_estimates,
     median_counterexample_report,
     operator_norm,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "ArgumentError",
     "CallableOracle",
     "CandidateBall",
-    "ConvergenceError",
     "CoverResult",
     "DegenerateInputError",
     "DistanceOracle",
@@ -114,7 +111,6 @@ __all__ = [
     "any_alpha_constant",
     "any_alpha_solver",
     "ball_cover",
-    "batched_norm_estimates",
     "below_half_cover",
     "brute_force_best",
     "bucket_constant",

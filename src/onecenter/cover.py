@@ -88,7 +88,7 @@ def logtower_base_fraction(beta: float, k: int) -> float:
 class CoverResult:
     """A peeling cover: at most floor(1/fraction) balls of one radius.
 
-    ``guarantee`` means: every ball of radius r holding at least
+    The cover property: every ball of radius r holding at least
     ``fraction`` of the original weight intersects some listed ball
     (for below_half_cover this is promised under its gap condition).
     Each ball's covered_weight is measured against the weights in
@@ -98,7 +98,6 @@ class CoverResult:
     balls: tuple[CandidateBall, ...]
     fraction: float
     approx_constant: float
-    guarantee: bool
 
     def centers(self) -> list:
         return [b.center for b in self.balls]
@@ -171,7 +170,7 @@ def ball_cover(
         balls.append(CandidateBall(center=ball.center, radius=C * r, covered_weight=covered))
         weights = weights.copy()
         weights[mask] = 0.0
-    return CoverResult(tuple(balls), beta, C, True)
+    return CoverResult(tuple(balls), beta, C)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def below_half_cover(
         balls.append(CandidateBall(center=center, radius=C * r, covered_weight=covered))
         remaining = remaining.copy()
         remaining[mask] = 0.0
-    return CoverResult(tuple(balls), alpha, C, True)
+    return CoverResult(tuple(balls), alpha, C)
 
 
 # ---------------------------------------------------------------------------

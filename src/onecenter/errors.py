@@ -17,17 +17,6 @@ class DegenerateInputError(OneCenterError):
     """The input admits no meaningful answer (e.g. an empty membership set)."""
 
 
-class ConvergenceError(OneCenterError):
-    """An iterative routine hit its iteration cap before reaching tolerance.
-
-    Carries the best estimate seen so far in ``best_estimate``.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class ParseError(OneCenterError, ValueError):
     """An input file is malformed; ``line`` is the 1-based offending line."""
 

@@ -2,10 +2,10 @@
 
 The solver library treats R^(k*k) under the operator norm as just
 another normed space, so the clustering routines need a deterministic
-norm evaluator.  `operator_norm` is a power iteration on M^T M with an
-all-ones start vector and a squared-sum Rayleigh quotient; on the
-all-ones matrix J_k it returns exactly the float k, which the median
-study below relies on.
+norm evaluator.  `operator_norm` is LAPACK's scale-safe top singular
+value or, when the all-ones vector is a top singular vector, the
+Rayleigh quotient |A 1| / |1|, which is exactly the float k on the
+all-ones matrix J_k, as the median study below relies on.
 
 The median study: over the ensemble of k x k sign matrices (entries
 +-1) with the all-minus-ones matrix removed, each entry equals +1 with
@@ -25,176 +25,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConvergenceError
+from .errors import ArgumentError
 from .spaces import NormedSpaceOps
 
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 600
-_STALL_BAND = 1e-9  # relative progress below this counts toward a stall
-_STALL_ROUNDS = 50
-_JACOBI_MAX_K = 8
 THRESHOLD_FACTORS = (2.0, 2.1, 2.5)
 REPORT_QUANTILES = (0.1, 0.5, 0.9)
 
 
-def _as_square(M) -> np.ndarray:
+def operator_norm(M) -> float:
+    """Largest singular value of a square matrix, scale-safe.
+
+    LAPACK's SVD rescales out-of-range input, so no finite matrix
+    overflows or underflows.  When the all-ones vector is a top singular
+    vector (to a relative 1e-9), the Rayleigh quotient |A 1| / |1|, taken
+    on A / max|A| and scaled back, is returned instead: it is exactly k
+    on the all-ones matrix J_k and 1.0 on the identity.
+    """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ArgumentError("matrix entries must be finite")
-    return A
-
-
-def _jacobi_norm(A: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> float:
-    """Largest singular value by one-sided Jacobi column orthogonalization."""
-    B = A.copy()
-    k = B.shape[0]
-    for _ in range(sweeps):
-        rotated = False
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                a = float(B[:, i] @ B[:, i])
-                b = float(B[:, j] @ B[:, j])
-                c = float(B[:, i] @ B[:, j])
-                if c == 0.0 or abs(c) <= tol * math.sqrt(a * b):
-                    continue
-                rotated = True
-                zeta = (b - a) / (2.0 * c)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                bi = B[:, i].copy()
-                B[:, i] = cs * bi - sn * B[:, j]
-                B[:, j] = sn * bi + cs * B[:, j]
-        if not rotated:
-            break
-    return float(np.sqrt(np.max(np.sum(B * B, axis=0))))
-
-
-def _power_phase(A: np.ndarray, v: np.ndarray, max_iter: int, tol: float) -> tuple[float, bool]:
-    """Power iteration from start v; returns (estimate, converged).
-
-    The estimate is sqrt(|Av|^2 / |v|^2), which in exact arithmetic
-    climbs monotonically toward the top singular value.  On convergence
-    the previous round's estimate is returned; the two differ by at most
-    tol relatively, and the older one is the one that is exact on
-    all-ones matrices.  A phase aborts (converged=False) when the
-    iterate lands in the kernel or when progress sits below the stall
-    band for 50 consecutive rounds without reaching tol.
-    """
-    est_prev = -math.inf
-    est = 0.0
-    stalled = 0
-    for _ in range(max_iter):
-        Av = A @ v
-        num = float(np.sum(Av * Av))
-        den = float(np.sum(v * v))
-        if den == 0.0:
-            return est_prev if est_prev > 0.0 else 0.0, False
-        est = math.sqrt(num / den)
-        change = abs(est - est_prev)
-        if change <= tol * max(1.0, abs(est)):
-            return est_prev, True
-        if change <= _STALL_BAND * max(1.0, abs(est)):
-            stalled += 1
-            if stalled >= _STALL_ROUNDS:
-                return est, False
-        else:
-            stalled = 0
-        est_prev = est
-        w = A.T @ Av
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # iterate fell into the kernel; est is only a lower bound
-            return est, False
-        v = w / nw
-    return est, False
-
-
-def operator_norm(M, tol: float = _POWER_TOL, max_iter: int = _POWER_MAX_ITER) -> float:
-    """Largest singular value of a square matrix, deterministically.
-
-    Power iteration on M^T M starting from the all-ones vector; when a
-    phase stalls or dies in the kernel, the iteration restarts from
-    deterministic perturbation patterns (a ramp, then a sign-alternating
-    ramp).  The first converged phase wins; a later phase only replaces
-    it if its value is larger by more than a relative 1e-9, which
-    rescues starts that were orthogonal to the top singular vector
-    without disturbing exact values.  On all-ones matrices the result is
-    exactly k.  If no phase converges, matrices up to 8 x 8 fall back to
-    one-sided Jacobi; larger ones raise ConvergenceError carrying the
-    best estimate seen.
-    """
-    A = _as_square(M)
-    k = A.shape[0]
     if not np.any(A):
         return 0.0
-    ramp = 1.0 + np.arange(1, k + 1) / (3.0 * k)
-    starts = (
-        np.ones(k),
-        ramp,
-        np.where(np.arange(k) % 2 == 0, 1.0, -1.0) * ramp,
-    )
-    result = None
-    best = 0.0
-    for v in starts:
-        est, ok = _power_phase(A, v, max_iter, tol)
-        best = max(best, est)
-        if ok:
-            if result is None:
-                result = est
-            elif est > result * (1.0 + 1e-9):
-                result = est
-    if result is not None:
-        return result
-    if k <= _JACOBI_MAX_K:
-        return _jacobi_norm(A)
-    raise ConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations",
-        best_estimate=best,
-    )
-
-
-def batched_norm_estimates(mats: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Power-iteration estimates for a stack of square matrices.
-
-    Runs a fixed number of iterations from two deterministic starts per
-    matrix and keeps the larger estimate.  Meant for ensemble statistics
-    over thousands of matrices, not for certified single-matrix values;
-    use operator_norm for those.
-    """
-    B = np.asarray(mats, dtype=np.float64)
-    if B.ndim != 3 or B.shape[1] != B.shape[2]:
-        raise ArgumentError(f"expected a stack of square matrices, got shape {B.shape}")
-    m, k, _ = B.shape
-    ramp = 1.0 + np.arange(1, k + 1) / (3.0 * k)
-    alt = np.where(np.arange(k) % 2 == 0, 1.0, -1.0) * ramp
-    out = np.zeros(m)
-    for start in (np.ones(k), alt):
-        v = np.broadcast_to(start, (m, k)).copy()
-        for _ in range(iters):
-            Av = np.einsum("mij,mj->mi", B, v)
-            w = np.einsum("mji,mj->mi", B, Av)
-            nw = np.linalg.norm(w, axis=1, keepdims=True)
-            dead = nw[:, 0] == 0.0
-            if np.any(dead):
-                w[dead] = ramp
-                nw[dead] = np.linalg.norm(ramp)
-            v = w / nw
-        Av = np.einsum("mij,mj->mi", B, v)
-        num = np.sum(Av * Av, axis=1)
-        den = np.sum(v * v, axis=1)
-        out = np.maximum(out, np.sqrt(num / den))
-    return out
+    top = float(np.linalg.svd(A, compute_uv=False)[0])
+    scale = float(np.max(np.abs(A)))
+    row_sums = (A / scale).sum(axis=1)
+    quotient = math.sqrt(float(np.sum(row_sums * row_sums)) / A.shape[0]) * scale
+    return quotient if quotient >= top * (1.0 - 1e-9) else top
 
 
 class OperatorNormSpace(NormedSpaceOps):
     """R^(k*k) viewed as k x k matrices under the operator norm.
 
-    Points are matrices flattened row-major.  Norm evaluations run a
-    full power iteration each, so this space is for small instances and
-    correctness tests rather than bulk workloads.
+    Points are matrices flattened row-major.  Each norm evaluation is
+    one SVD, so this space is for small instances and correctness tests
+    rather than bulk workloads.
     """
 
     def __init__(self, k: int):
@@ -291,7 +157,7 @@ def median_counterexample_report(
         mats = _sample_sign_matrices(k, samples, seed)
         median_mat = np.ones((k, k))
         median_is_ones = True
-    norms = batched_norm_estimates(mats)
+    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
     median_norm = operator_norm(median_mat)
     root_k = math.sqrt(k)
     quantiles = tuple((q, float(np.quantile(norms, q))) for q in REPORT_QUANTILES)

@@ -185,6 +185,4 @@ def weighted_quantile_radius(distances, weights, alpha: float) -> float:
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
     target = alpha * total
-    if target > total:  # unreachable for alpha <= 1; kept as an explicit guard
-        return math.inf
     return _select_sorted(v, w, target)
