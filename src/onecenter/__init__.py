@@ -73,7 +73,6 @@ from .oracle import (
     CallableOracle,
     DistanceOracle,
     MatrixOracle,
-    PaddedOracle,
 )
 from .selection import (
     kernel_backend,
@@ -102,7 +101,6 @@ __all__ = [
     "NormedSpaceOps",
     "OneCenterError",
     "OperatorNormSpace",
-    "PaddedOracle",
     "PairReduction",
     "ParseError",
     "PlantedInstance",

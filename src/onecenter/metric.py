@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CandidateBall, WeightedPointSet, require_positive_weight
 from .errors import ArgumentError, UnsupportedFractionError
-from .oracle import DistanceOracle, PaddedOracle
+from .oracle import DistanceOracle
 from .selection import best_candidate
 
 _TIE_EPS = 1e-12  # loop caps only; never used in comparisons
@@ -61,20 +61,17 @@ def _validate_metric_args(ps: WeightedPointSet, oracle: DistanceOracle) -> None:
     require_positive_weight(ps)
 
 
-def _pad_for_blocks(
-    ps: WeightedPointSet, oracle: DistanceOracle, C: int
-) -> tuple[DistanceOracle, np.ndarray, int]:
+def _pad_for_blocks(ps: WeightedPointSet, C: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Point and weight of each of the m**C slots, and m; slots past n alias point 0 at zero weight."""
     m = exact_ceil_root(ps.n, C)
-    total = m**C
-    if total == ps.n:
-        return oracle, ps.weights.astype(np.float64), m
-    padded = PaddedOracle(oracle, total)
-    weights = np.concatenate([ps.weights, np.zeros(total - ps.n)])
-    return padded, weights, m
+    points = np.arange(m**C)
+    points[ps.n :] = 0
+    return points, np.concatenate([ps.weights, np.zeros(m**C - ps.n)]), m
 
 
 def _halfplus_range(
     oracle: DistanceOracle,
+    points: np.ndarray,
     weights: np.ndarray,
     lo: int,
     hi: int,
@@ -82,7 +79,7 @@ def _halfplus_range(
     alpha: float,
     m: int,
 ) -> tuple[int, float]:
-    """Best (index, radius) for the block [lo, hi) at the given level."""
+    """Best (slot, radius) for the slot block [lo, hi) at the given level."""
     block_w = weights[lo:hi]
     y = alpha * float(np.sum(block_w))
     if level == 1:
@@ -90,12 +87,12 @@ def _halfplus_range(
     else:
         sub = (hi - lo) // m
         candidates = [
-            _halfplus_range(oracle, weights, lo + j * sub, lo + (j + 1) * sub, level - 1, alpha, m)[0]
+            _halfplus_range(oracle, points, weights, lo + j * sub, lo + (j + 1) * sub, level - 1, alpha, m)[0]
             for j in range(m)
         ]
-    eval_idx = np.arange(lo, hi)
+    cols = points[lo:hi]
     best_i, best_s, _ = best_candidate(
-        lambda chunk: oracle.dist_block(chunk, eval_idx), candidates, block_w, y
+        lambda chunk: oracle.dist_block(points[chunk], cols), candidates, block_w, y
     )
     return best_i, best_s
 
@@ -106,8 +103,9 @@ def metric_halfplus(
     """Point p and the smallest s with ball (p, s) covering >= alpha*w,
     guaranteed s <= 2C*r whenever some radius-r ball holds alpha*w.
 
-    alpha must exceed 1/2.  n is padded with zero-weight aliases of
-    point 0 up to the next perfect C-th power m^C; the recursion visits
+    alpha must exceed 1/2.  n is padded up to the next perfect C-th
+    power m^C with zero-weight slots that alias point 0; each block fetch
+    maps slots to points, with no wrapper oracle.  The recursion visits
     m blocks per level and spends about C * m^(C+1) oracle queries.
     C = 1 is exactly the brute-force sweep over all centers (lowest
     index wins ties).
@@ -118,17 +116,17 @@ def metric_halfplus(
         raise ArgumentError(f"C must be a positive integer, got {C}")
     _validate_metric_args(ps, oracle)
     C = int(C)
-    padded, weights, m = _pad_for_blocks(ps, oracle, C)
-    idx, radius = _halfplus_range(padded, weights, 0, m**C, C, alpha, m)
-    if idx >= ps.n:  # padded alias of point 0
-        idx = 0
-    d = padded.dist_many(idx, np.arange(m**C))
+    points, weights, m = _pad_for_blocks(ps, C)
+    slot, radius = _halfplus_range(oracle, points, weights, 0, m**C, C, alpha, m)
+    idx = int(points[slot])
+    d = oracle.dist_many(idx, points)
     covered = float(np.sum(weights[d <= radius]))
     return CandidateBall(center=int(idx), radius=float(radius), covered_weight=covered, center_index=int(idx))
 
 
 def _cover_range(
     oracle: DistanceOracle,
+    points: np.ndarray,
     w_local: np.ndarray,
     lo: int,
     fraction: float,
@@ -137,7 +135,7 @@ def _cover_range(
 ) -> list[tuple[int, float]]:
     """Peeling cover of the block starting at lo; mutates w_local.
 
-    Returns (index, radius) pairs.  The threshold is fixed at
+    Returns (slot, radius) pairs.  The threshold is fixed at
     fraction * (block total at entry), per the induction: peeling never
     lowers the absolute bar.
     """
@@ -146,7 +144,7 @@ def _cover_range(
     if total <= 0.0:
         return []
     y = fraction * total
-    eval_idx = np.arange(lo, lo + span)
+    cols = points[lo : lo + span]
     out: list[tuple[int, float]] = []
     for _ in range(int(math.floor(1.0 / fraction + _TIE_EPS))):
         remaining = float(np.sum(w_local))
@@ -161,12 +159,12 @@ def _cover_range(
             for j in range(m):
                 sub_w = w_local[j * sub : (j + 1) * sub].copy()
                 candidates += [
-                    idx for idx, _ in _cover_range(oracle, sub_w, lo + j * sub, boosted, level - 1, m)
+                    idx for idx, _ in _cover_range(oracle, points, sub_w, lo + j * sub, boosted, level - 1, m)
                 ]
             if not candidates:
                 break
         best_i, best_s, best_d = best_candidate(
-            lambda chunk: oracle.dist_block(chunk, eval_idx), candidates, w_local, y
+            lambda chunk: oracle.dist_block(points[chunk], cols), candidates, w_local, y
         )
         if best_d is None:
             break
@@ -188,7 +186,7 @@ def metric_quadratic(ps: WeightedPointSet, oracle: DistanceOracle, alpha: float)
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     _validate_metric_args(ps, oracle)
-    found = _cover_range(oracle, ps.weights.copy(), 0, alpha, 1, ps.n)
+    found = _cover_range(oracle, np.arange(ps.n), ps.weights.copy(), 0, alpha, 1, ps.n)
     centers = tuple(int(i) for i, _ in found)
     radii = tuple(float(s) for _, s in found)
     return MetricCover(centers, radii, alpha, 2.0)
@@ -219,8 +217,8 @@ def metric_cover(
     if C == 1:
         cover = metric_quadratic(ps, oracle, alpha)
         return MetricCover(cover.centers, cover.radii, alpha, 2.0)
-    padded, weights, m = _pad_for_blocks(ps, oracle, C)
-    found = _cover_range(padded, weights.copy(), 0, alpha, C, m)
-    centers = tuple(int(i) if i < ps.n else 0 for i, _ in found)
+    points, weights, m = _pad_for_blocks(ps, C)
+    found = _cover_range(oracle, points, weights, 0, alpha, C, m)
+    centers = tuple(int(points[i]) for i, _ in found)
     radii = tuple(float(s) for _, s in found)
     return MetricCover(centers, radii, alpha, 2.0 * C)

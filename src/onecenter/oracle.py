@@ -2,10 +2,11 @@
 
 Metric-space solvers see points only through an oracle; the query
 counter is the complexity measure those solvers are benchmarked on.
-Each scalar distance evaluation costs one query, a batched row of k
-distances costs k, and a block of r rows by c columns costs r * c.
-There is deliberately no global memoization: counts must reflect what a
-from-scratch run would pay.
+An oracle implements one hook, ``_dist_block_impl(rows, cols)``, and
+every accessor is served by it: ``dist`` costs one query, ``dist_many``
+and ``sweep`` cost one per distance in the row, and ``dist_block`` costs
+rows * cols.  There is deliberately no global memoization: counts must
+reflect what a from-scratch run would pay.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from .errors import ArgumentError
 
 
 class DistanceOracle(ABC):
-    """Abstract pairwise-distance access over points 0..size-1."""
+    """Abstract pairwise-distance access over points 0..size-1.
+
+    Subclasses implement only ``_dist_block_impl(rows, cols)``: handed
+    range-checked one-dimensional index arrays, it returns the
+    ``len(rows) x len(cols)`` float64 distances.  Each accessor checks
+    its indices and charges one query per distance it returns.
+    """
 
     def __init__(self, size: int):
         if size <= 0:
@@ -46,48 +53,35 @@ class DistanceOracle(ABC):
         with self._lock:
             self._queries += k
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self._size:
-            raise ArgumentError(f"point index {i} out of range [0, {self._size})")
-
     def _check_indices(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._size):
-            raise ArgumentError("point index out of range")
-        return idx
+        idx = np.asarray(idx)
+        if idx.ndim != 1:
+            raise ArgumentError("point indices must be one-dimensional")
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self._size):
+            raise ArgumentError(f"point indices must be integers in [0, {self._size})")
+        return idx.astype(np.intp, copy=False)
 
     @abstractmethod
-    def _dist_impl(self, i: int, j: int) -> float: ...
-
-    def _dist_many_impl(self, i: int, idx: np.ndarray) -> np.ndarray:
-        return np.array([self._dist_impl(i, int(j)) for j in idx], dtype=np.float64)
-
-    def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.size, cols.size), dtype=np.float64)
-        for k, i in enumerate(rows):
-            out[k] = self._dist_many_impl(int(i), cols)
-        return out
+    def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray: ...
 
     def dist(self, i: int, j: int) -> float:
         """Distance between points i and j; costs exactly one query."""
-        self._check_index(i)
-        self._check_index(j)
+        rows = self._check_indices([i])
+        cols = self._check_indices([j])
         self._bump(1)
-        return float(self._dist_impl(i, j))
+        return float(self._dist_block_impl(rows, cols)[0, 0])
 
     def dist_many(self, i: int, idx) -> np.ndarray:
         """Distances from i to each index in idx; costs len(idx) queries."""
-        self._check_index(i)
+        rows = self._check_indices([i])
         idx = self._check_indices(idx)
         self._bump(int(idx.size))
-        return self._dist_many_impl(i, idx)
+        return self._dist_block_impl(rows, idx)[0]
 
     def dist_block(self, rows, cols) -> np.ndarray:
         """len(rows) x len(cols) distances; costs len(rows) * len(cols) queries."""
         rows = self._check_indices(rows)
         cols = self._check_indices(cols)
-        if rows.ndim != 1 or cols.ndim != 1:
-            raise ArgumentError("block rows and columns must be one-dimensional")
         self._bump(int(rows.size) * int(cols.size))
         return self._dist_block_impl(rows, cols)
 
@@ -174,12 +168,6 @@ class MatrixOracle(DistanceOracle):
         self.matrix = matrix.view()
         self.matrix.setflags(write=False)
 
-    def _dist_impl(self, i: int, j: int) -> float:
-        return self.matrix[i, j]
-
-    def _dist_many_impl(self, i: int, idx: np.ndarray) -> np.ndarray:
-        return self.matrix[i, idx].astype(np.float64, copy=True)
-
     def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.matrix[np.ix_(rows, cols)]
 
@@ -195,50 +183,7 @@ class CallableOracle(DistanceOracle):
         super().__init__(size)
         self._fn = fn
 
-    def _dist_impl(self, i: int, j: int) -> float:
-        return float(self._fn(i, j))
-
-
-class PaddedOracle(DistanceOracle):
-    """View of a base oracle extended to ``size`` points.
-
-    Indices past the base size alias point 0; queries are charged to the
-    base oracle's counter so instrumentation sees the true cost.
-    """
-
-    def __init__(self, base: DistanceOracle, size: int):
-        if size < base.size:
-            raise ArgumentError("padded size must be >= base size")
-        super().__init__(size)
-        self.base = base
-
-    def _map(self, i: int) -> int:
-        return i if i < self.base.size else 0
-
-    def _map_many(self, idx: np.ndarray) -> np.ndarray:
-        return np.where(idx < self.base.size, idx, 0)
-
-    @property
-    def query_count(self) -> int:
-        return self.base.query_count
-
-    def reset_query_count(self) -> None:
-        self.base.reset_query_count()
-
-    def dist(self, i: int, j: int) -> float:
-        self._check_index(i)
-        self._check_index(j)
-        return self.base.dist(self._map(i), self._map(j))
-
-    def dist_many(self, i: int, idx) -> np.ndarray:
-        self._check_index(i)
-        idx = self._check_indices(idx)
-        return self.base.dist_many(self._map(i), self._map_many(idx))
-
-    def dist_block(self, rows, cols) -> np.ndarray:
-        rows = self._check_indices(rows)
-        cols = self._check_indices(cols)
-        return self.base.dist_block(self._map_many(rows), self._map_many(cols))
-
-    def _dist_impl(self, i: int, j: int) -> float:  # pragma: no cover
-        return self.base._dist_impl(self._map(i), self._map(j))
+    def _dist_block_impl(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rs, cs = rows.tolist(), cols.tolist()
+        block = [[float(self._fn(i, j)) for j in cs] for i in rs]
+        return np.array(block, dtype=np.float64).reshape(len(rs), len(cs))

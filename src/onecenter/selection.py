@@ -56,13 +56,21 @@ def _check_values(v: np.ndarray, w: np.ndarray) -> None:
         raise ArgumentError("weights must be finite and nonnegative")
 
 
+def _total(w: np.ndarray) -> float:
+    """Sum of checked weights; finite weights may still overflow it."""
+    total = float(np.sum(w))
+    if not math.isfinite(total):
+        raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
+    return total
+
+
 def weighted_median(values, weights) -> float:
     """Smallest value v whose cumulative weight reaches half the total.
 
     With uniform weights this is the classical lower median.
     """
     v, w = _clean(values, weights)
-    total = float(np.sum(w))
+    total = _total(w)
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
     return _select_sorted(v, w, 0.5 * total)
@@ -75,7 +83,7 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
     minimum entry when the target is zero or negative.
     """
     v, w = _clean(distances, weights)
-    total = float(np.sum(w))
+    total = _total(w)
     if target_weight > total:
         return math.inf
     if target_weight <= 0.0:
@@ -119,7 +127,7 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     if v.ndim != 2 or w.ndim != 1:
         raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
     _check_values(v, w)
-    total = float(np.sum(w))
+    total = _total(w)
     if target_weight > total:
         return np.full(v.shape[0], math.inf)
     if target_weight <= 0.0:
@@ -181,7 +189,7 @@ def weighted_quantile_radius(distances, weights, alpha: float) -> float:
     if not (0.0 < alpha <= 1.0):
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     v, w = _clean(distances, weights)
-    total = float(np.sum(w))
+    total = _total(w)
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
     target = alpha * total

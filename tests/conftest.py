@@ -24,8 +24,8 @@ def scan_select(values, weights, target):
 class TallyOracle(DistanceOracle):
     """Matrix-backed oracle keeping its own tally of scalar evaluations.
 
-    The tally lives in the _impl hooks, outside the base class counter,
-    so tests can assert the two agree exactly after a solver run.
+    The tally lives in the _dist_block_impl hook, outside the base class
+    counter, so tests can assert the two agree exactly after a solver run.
     """
 
     def __init__(self, matrix):
@@ -34,13 +34,9 @@ class TallyOracle(DistanceOracle):
         self.matrix = matrix
         self.tally = 0
 
-    def _dist_impl(self, i, j):
-        self.tally += 1
-        return float(self.matrix[i, j])
-
-    def _dist_many_impl(self, i, idx):
-        self.tally += int(idx.size)
-        return self.matrix[i, idx].astype(np.float64, copy=True)
+    def _dist_block_impl(self, rows, cols):
+        self.tally += int(rows.size) * int(cols.size)
+        return self.matrix[np.ix_(rows, cols)]
 
 
 class RowCountingLp(LpSpace):

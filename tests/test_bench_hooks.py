@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` swaps wrappers into ``onecenter`` module
 attributes by name.  A library refactor that renames or stops calling
 through one of those names would silently drop spans from the traced
-benchmark job; this test catches that on a tiny cover run.
+benchmark job, or change the oracle query count it reports; these tests
+catch that on a tiny cover run and a padded metric run.
 """
 
 import importlib.util
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from onecenter import WeightedPointSet, cover, spaces
+from onecenter import WeightedPointSet, cover, metric, oracle, spaces
+
+from conftest import random_metric_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +46,20 @@ def test_tracer_records_norm_and_cover_spans_and_undo_restores():
     assert summary["spaces.norms"]["calls"] > 0
     assert summary["spaces.norms"]["count"] > 0
     assert (cover.below_half_cover, spaces.LpSpace) == originals
+
+
+def test_tracer_counts_one_padded_metric_row_through_dist_many():
+    # n=90, C=2 pads to m^C = 100 slots; block fetches go through
+    # dist_block and are not counted, the final covered-weight row is
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        matrix_oracle = oracle.MatrixOracle(random_metric_matrix(np.random.default_rng(5), 90))
+        ball = metric.metric_halfplus(WeightedPointSet.indexed(90), matrix_oracle, 0.6, 2)
+    finally:
+        undo()
+    assert 0 <= ball.center_index < 90
+    summary = tracing.summarize(tracer)
+    assert summary["oracle.dist_many"]["count"] == 100
+    assert summary["oracle.validate"]["calls"] == 1

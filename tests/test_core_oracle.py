@@ -12,7 +12,6 @@ from onecenter import (
     CallableOracle,
     LpSpace,
     MatrixOracle,
-    PaddedOracle,
     WeightedPointSet,
     covered_weight,
     generate_planted,
@@ -194,26 +193,11 @@ def test_index_range_checks():
         oracle.dist(-1, 0)
     with pytest.raises(ArgumentError):
         oracle.dist_many(0, [0, 5])
-
-
-def test_padded_oracle_aliases_extra_indexes_to_point_zero():
-    m = np.array([[0.0, 2.0], [2.0, 0.0]])
-    padded = PaddedOracle(MatrixOracle(m), 4)
-    assert padded.size == 4
-    assert padded.dist(3, 1) == 2.0  # padding behaves like point 0
-    assert padded.dist(2, 3) == 0.0
-    row = padded.sweep(1)
-    assert np.array_equal(row, [2.0, 0.0, 2.0, 2.0])
-
-
-def test_padded_oracle_counts_against_base():
-    base = MatrixOracle([[0.0, 1.0], [1.0, 0.0]])
-    padded = PaddedOracle(base, 5)
-    padded.sweep(4)
-    assert base.query_count == 5
-    assert padded.query_count == 5
-    padded.reset_query_count()
-    assert base.query_count == 0
+    with pytest.raises(ArgumentError):
+        oracle.dist_many(0, [[0, 1]])
+    for call in (lambda: oracle.dist(0.5, 1), lambda: oracle.dist_many(0, [1.0])):
+        with pytest.raises(ArgumentError, match="integers"):
+            call()
 
 
 def test_callable_oracle_wraps_a_function():
@@ -230,32 +214,27 @@ def test_callable_oracle_wraps_a_function():
 
 def _block_oracles():
     m = random_metric_matrix(np.random.default_rng(11), 9)
-    yield MatrixOracle(m), None
-    yield CallableOracle(lambda i, j: m[i, j], 9), None
-    base = MatrixOracle(m[:6, :6])
-    yield PaddedOracle(base, 9), base
-    yield TallyOracle(m), None
+    return [MatrixOracle(m), CallableOracle(lambda i, j: m[i, j], 9), TallyOracle(m)]
 
 
 def test_dist_block_equals_stacked_rows_and_costs_the_same():
     rows, cols = [4, 0, 8, 4], [1, 7, 7, 3, 0]
-    for oracle, base in _block_oracles():
-        counter = base if base is not None else oracle
+    for oracle in _block_oracles():
         block = oracle.dist_block(rows, cols)
-        charged = counter.query_count
+        charged = oracle.query_count
         stacked = np.stack([oracle.dist_many(i, cols) for i in rows])
         assert block.shape == (4, 5) and block.dtype == np.float64
         assert np.array_equal(block, stacked)
-        assert charged == counter.query_count - charged == 4 * 5
-        assert oracle.query_count == counter.query_count
+        assert charged == oracle.query_count - charged == 4 * 5
         if isinstance(oracle, TallyOracle):
             assert oracle.tally == oracle.query_count
         assert oracle.dist_block([], cols).shape == (0, 5)
+        assert oracle.dist_block(rows, []).shape == (4, 0)
 
 
 def test_dist_block_range_checks():
-    for oracle, _ in _block_oracles():
-        for rows, cols in [([0, 9], [1]), ([0], [-1]), ([[0, 1]], [1]), (0, [1])]:
+    for oracle in _block_oracles():
+        for rows, cols in [([0, 9], [1]), ([0], [-1]), ([[0, 1]], [1]), (0, [1]), ([0.5], [1])]:
             with pytest.raises(ArgumentError):
                 oracle.dist_block(rows, cols)
         assert oracle.query_count == 0

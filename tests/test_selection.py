@@ -128,6 +128,21 @@ def test_selection_argument_errors():
         weighted_median([[1.0, 2.0]], [[1.0, 1.0]])
 
 
+def test_selection_rejects_finite_weights_whose_total_overflows():
+    # the total overflows to inf, so half of it is inf and only the last
+    # cumsum reaches it: 2.0 would come back where 1.0 carries half
+    w = [1e308, 1e308]
+    calls = [
+        lambda: weighted_median([1.0, 2.0], w),
+        lambda: weighted_quantile_radius([1.0, 2.0], w, 0.5),
+        lambda: smallest_radius_at_weight([1.0, 2.0], w, 1.0),
+        lambda: select_rows([[1.0, 2.0]], w, 1.0),
+    ]
+    for call in calls:
+        with np.errstate(over="ignore"), pytest.raises(ArgumentError, match="total is finite"):
+            call()
+
+
 @given(
     data=st.lists(
         st.tuples(
