@@ -1,4 +1,4 @@
-"""Golden reports of ``onecenter solve``, ``cover`` and ``bench``.
+"""Golden reports of every ``onecenter`` subcommand.
 
 ``tests/golden/cli.json`` pins, for every case below, the exit code, the
 JSON report minus ``wall_time_s`` and the kind of stderr message (its
@@ -9,8 +9,11 @@ golden data.  The cases cross every command, ``--solver``, input kind
 (points CSV, distance matrix, lp/normed/metric instance JSON, gap
 instance JSON), ``--space``, a grid of alphas and the options that
 change a solver's path (``--C 1``, ``--r``, ``--search-r``, ``--k 1``,
-``--p inf``), plus the usage errors.  Inputs are generated here from
-fixed seeds.  Regenerate with
+``--p inf``), plus the usage errors, and hits, misses and usage errors
+of ``verify``, ``gen``, ``opnorm-demo`` and ``baseline``.  Inputs are
+generated here from fixed seeds; ``gen`` writes into the same temporary
+directory, and its report's ``path`` is stored as the ``{label}``
+placeholder it was given.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
@@ -37,6 +40,7 @@ ALPHAS = ("0.75", "0.55", "0.4", "1.5")
 SOLVE_EXTRAS = (["--C", "1"], ["--r", "1.5"], ["--search-r"], ["--r", "1.5", "--search-r"], ["--k", "1"], ["--p", "inf"])
 COVER_EXTRAS = ([], ["--r", "1.5"], ["--C", "1"])
 BENCH_SIZES = "8,12,16,20"
+LP_CENTER = "0.32137171095757466,-7.682687750584593"  # planted center of lp.csv
 STDERR_PREFIXES = ("error:", "no solution:", "degenerate input:", "io error:", "usage:")
 
 
@@ -112,6 +116,29 @@ def cases() -> list:
         ["solve", "--input", "{lp.csv}", "--solver", "logtower", "--alpha", "0.4", *tiny],
         ["cover", "--input", "{lp.csv}", "--alpha", "0.4", *tiny],
     ]
+    out += [
+        ["verify", "--input", "{lp.csv}", "--alpha", "0.75", "--radius", "1", "--center", LP_CENTER],
+        ["verify", "--input", "{lp.csv}", "--alpha", "0.75", "--radius", "0.5", "--center", LP_CENTER],
+        ["verify", "--input", "{metric.txt}", "--alpha", "0.6", "--radius", "1", "--center-index", "32"],
+        ["verify", "--input", "{metric.txt}", "--alpha", "0.6", "--radius", "0.5", "--center-index", "32"],
+        ["verify", "--input", "{lp.csv}", "--alpha", "0.75", "--radius", "1"],
+        ["verify", "--input", "{metric.txt}", "--alpha", "0.6", "--radius", "1"],
+        ["verify", "--input", "{lp.csv}", "--alpha", "0.75", "--radius", "1", "--center", "0,0,0"],
+        ["verify", "--input", "{lp.csv}", "--alpha", "0.75", "--radius", "1", "--center", "0,x"],
+        ["gen", "--space", "lp", "--n", "30", "--alpha", "0.75", "--emit", "csv", "--out", "{gen.csv}"],
+        ["gen", "--space", "metric", "--n", "20", "--alpha", "0.6", "--emit", "matrix", "--out", "{gen.txt}"],
+        ["gen", "--space", "normed", "--n", "32", "--alpha", "0.3", "--mode", "gap", "--out", "{gen.json}"],
+        ["gen", "--space", "metric", "--n", "20", "--alpha", "0.6", "--emit", "csv", "--out", "{gen.csv}"],
+        ["gen", "--space", "lp", "--n", "30", "--alpha", "0.75", "--emit", "matrix", "--out", "{gen.txt}"],
+        ["opnorm-demo", "--k", "3", "--mode", "exhaustive"],
+        ["opnorm-demo", "--k", "4", "--samples", "200", "--seed", "1"],
+        ["opnorm-demo", "--k", "5", "--mode", "exhaustive"],
+        ["baseline", "--input", "{lp.csv}", "--alpha", "0.75", "--r", "1.5"],
+        ["baseline", "--input", "{lp.json}", "--alpha", "0.75"],
+        ["baseline", "--input", "{lp.csv}", "--alpha", "0.75"],
+        ["baseline", "--input", "{metric.txt}", "--alpha", "0.6", "--r", "1"],
+        ["baseline", "--input", "{metric.txt}", "--alpha", "0.6", "--r", "0.1"],
+    ]
     return out
 
 
@@ -123,6 +150,8 @@ def run_case(argv: list, paths: dict) -> dict:
     report = json.loads(out.getvalue()) if out.getvalue().strip() else None
     if report is not None:
         report.pop("wall_time_s")
+        if "path" in report:
+            report["path"] = next("{" + k + "}" for k, v in paths.items() if v == report["path"])
     text = err.getvalue().strip()
     prefix = next((p for p in STDERR_PREFIXES if text.startswith(p)), "" if not text else text)
     return {"exit": code, "report": report, "stderr": prefix}
@@ -131,6 +160,8 @@ def run_case(argv: list, paths: dict) -> dict:
 def compute_records(root: Path) -> dict:
     paths = write_inputs(root)
     paths["missing"] = str(root / "missing.csv")
+    for label in ("gen.csv", "gen.txt", "gen.json"):
+        paths[label] = str(root / label)
     # building the parser costs more than most cases; all of them share one
     build_parser, parser = cli.build_parser, cli.build_parser()
     cli.build_parser = lambda: parser
@@ -157,6 +188,8 @@ def test_golden_cli_cases_reach_every_outcome():
     assert {("solve", s) for s in SOLVERS[1:-1]} <= solved
     assert {("bench", s) for s in ("halfplus", "cover", "quadratic")} <= solved
     assert ("cover", None) in solved
+    commands = {rec["report"]["command"] for rec in expected.values() if rec["report"]}
+    assert commands == {"solve", "verify", "cover", "bench", "gen", "opnorm-demo", "baseline"}
 
 
 if __name__ == "__main__":
