@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: solve, verify, cover, bench, gen, opnorm-demo.  Every
-command writes a single JSON document to stdout (or --output) and sends
-diagnostics to stderr.  Exit codes: 0 verified success, 1 usage or IO
-error, 2 no solution or failed verification.
+Subcommands: solve, verify, cover, bench, gen, opnorm-demo, baseline.
+Each ``cmd_*`` function maps the parsed arguments to ``(report,
+verified)`` and writes nothing; ``main`` alone stamps the report's
+``schema_version`` and ``wall_time_s``, writes it as one JSON document
+to stdout (or --output), sends diagnostics to stderr and picks the exit
+code: 0 verified success, 1 usage or IO error, 2 no solution or failed
+verification.
 
 Two invocations with identical arguments and inputs produce
 byte-identical JSON except for the wall_time_s field.
@@ -12,6 +15,7 @@ byte-identical JSON except for the wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,7 +51,7 @@ from .opnorm import median_counterexample_report
 from .oracle import MatrixOracle
 from .selection import weighted_quantile_radius
 from .spaces import LpSpace
-from .verify import brute_force_best, las_vegas_baseline, verify_ball
+from .verify import VERIFY_REL_TOL, brute_force_best, las_vegas_baseline, verify_ball
 
 OUTPUT_SCHEMA_VERSION = 1
 _SEARCH_R_CAP = 64
@@ -78,27 +82,16 @@ def _parse_number(cast, token: str, option: str):
         raise UsageError(f"cannot parse {option} value {token!r}") from None
 
 
-def _emit(doc: dict, output: str | None, started: float) -> None:
-    doc["schema_version"] = OUTPUT_SCHEMA_VERSION
-    doc["wall_time_s"] = time.perf_counter() - started
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _center_json(center):
     if isinstance(center, (int, np.integer)):
         return int(center)
     return [float(x) for x in np.asarray(center).ravel()]
 
 
-def _load_input(path: str, fmt: str, space: str | None, p: float):
-    """Returns (space_tag, ps, ops_or_oracle, instance_or_None)."""
-    if fmt == "auto":
-        fmt = detect_format(path)
+def _load_input(args):
+    """(space_tag, ps, ops_or_oracle, instance_or_None) from --input, --format, --space and --p."""
+    p, path, space = _parse_p(args.p), args.input, args.space
+    fmt = detect_format(path) if args.format == "auto" else args.format
     if fmt == "csv":
         if space == "metric":
             raise UsageError("metric solvers need a distance matrix or instance JSON, not CSV")
@@ -112,14 +105,12 @@ def _load_input(path: str, fmt: str, space: str | None, p: float):
         oracle = MatrixOracle(matrix, validate="auto")
         ps = WeightedPointSet.indexed(oracle.size)
         return "metric", ps, oracle, None
-    if fmt == "instance":
-        inst = load_instance(path)
-        if space is not None and space != inst.kind:
-            raise UsageError(f"--space {space} does not match instance kind {inst.kind!r}")
-        if inst.kind == "metric":
-            return "metric", inst.ps, inst.oracle(), inst
-        return inst.kind, inst.ps, inst.space_ops(), inst
-    raise UsageError(f"unknown format {fmt!r}")
+    inst = load_instance(path)
+    if space is not None and space != inst.kind:
+        raise UsageError(f"--space {space} does not match instance kind {inst.kind!r}")
+    if inst.kind == "metric":
+        return "metric", inst.ps, inst.oracle(), inst
+    return inst.kind, inst.ps, inst.space_ops(), inst
 
 
 def _resolve_r(args, inst) -> float | None:
@@ -266,20 +257,16 @@ def _solve_coords(doc: dict, solver: str, ps, ops, args, inst) -> bool:
     return ok
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
+def cmd_solve(args) -> tuple[dict, bool]:
+    space, ps, backend, inst = _load_input(args)
     solver = args.solver or {"lp": "lp-median", "normed": "halfplus", "metric": "cover"}[space]
     doc: dict = {"command": "solve", "space": space, "solver": solver, "alpha": args.alpha, "n": ps.n}
     solve = _solve_metric if space == "metric" else _solve_coords
-    ok = solve(doc, solver, ps, backend, args, inst)
-    _emit(doc, args.output, started)
-    return 0 if ok else 2
+    return doc, solve(doc, solver, ps, backend, args, inst)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
+def cmd_verify(args) -> tuple[dict, bool]:
+    space, ps, backend, inst = _load_input(args)
     if space == "metric":
         if args.center_index is None:
             raise UsageError("metric verification needs --center-index")
@@ -301,21 +288,18 @@ def cmd_verify(args) -> int:
         "fraction_achieved": covered / ps.total_weight,
         "verified": bool(ok),
     }
-    _emit(doc, args.output, started)
-    return 0 if ok else 2
+    return doc, ok
 
 
-def cmd_cover(args) -> int:
-    started = time.perf_counter()
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
+def cmd_cover(args) -> tuple[dict, bool]:
+    space, ps, backend, inst = _load_input(args)
     doc: dict = {"command": "cover", "space": space, "alpha": args.alpha, "n": ps.n}
     if space == "metric":
         if args.r is not None:
             raise UsageError("metric covers take no --r")
         cover = metric_cover(ps, backend, args.alpha, args.C)
         doc.update(_cover_fields(args.C, cover, backend))
-        _emit(doc, args.output, started)
-        return 0 if cover.centers else 2
+        return doc, bool(cover.centers)
     r = _resolve_r(args, inst)
     if r is None:
         raise UsageError("normed covers require --r")
@@ -331,12 +315,10 @@ def cmd_cover(args) -> int:
             "gap_outer_factor": 2.0 * gap_constant(args.alpha) + 3.0,
         }
     )
-    _emit(doc, args.output, started)
-    return 0 if result.balls else 2
+    return doc, bool(result.balls)
 
 
-def cmd_bench(args) -> int:
-    started = time.perf_counter()
+def cmd_bench(args) -> tuple[dict, bool]:
     sizes = [_parse_number(int, t, "--sizes") for t in args.sizes.split(",") if t.strip()]
     if len(sizes) < 4:
         raise UsageError(f"bench needs at least 4 grid sizes, got {len(sizes)}")
@@ -368,13 +350,10 @@ def cmd_bench(args) -> int:
         "expected_slope": expected,
         "slope_within_tolerance": None if expected is None else bool(abs(slope - expected) <= 0.15),
     }
-    _emit(doc, args.output, started)
-    return 0
+    return doc, True
 
 
-def cmd_gen(args) -> int:
-    started = time.perf_counter()
-    p = _parse_p(args.p)
+def cmd_gen(args) -> tuple[dict, bool]:
     inst = generate_planted(
         args.space,
         n=args.n,
@@ -384,27 +363,24 @@ def cmd_gen(args) -> int:
         separation=args.separation,
         seed=args.seed,
         weights=args.weights,
-        p=p,
+        p=_parse_p(args.p),
         mode=args.mode,
         outlier_frac=args.outlier_frac,
     )
-    fmt = args.emit
-    if fmt == "instance":
+    if args.emit == "instance":
         save_instance(args.out, inst)
-    elif fmt == "csv":
+    elif args.emit == "csv":
         if inst.ps.coords is None:
             raise UsageError("metric instances have no coordinates; emit instance or matrix")
         write_points_csv(args.out, inst.ps)
-    elif fmt == "matrix":
+    else:
         if inst.matrix is None:
             raise UsageError("only metric instances carry a distance matrix")
         write_matrix(args.out, inst.matrix)
-    else:
-        raise UsageError(f"unknown emit format {fmt!r}")
     doc = {
         "command": "gen",
         "path": args.out,
-        "emitted": fmt,
+        "emitted": args.emit,
         "kind": inst.kind,
         "n": inst.ps.n,
         "d": args.d,
@@ -414,34 +390,19 @@ def cmd_gen(args) -> int:
         "mode": args.mode,
         "ground_truth": inst.ground_truth(),
     }
-    _emit(doc, args.output, started)
-    return 0
+    return doc, True
 
 
-def cmd_opnorm_demo(args) -> int:
-    started = time.perf_counter()
-    report = median_counterexample_report(
-        args.k, mode=args.mode, samples=args.samples, seed=args.seed
-    )
-    doc = {
-        "command": "opnorm-demo",
-        "k": report.k,
-        "mode": report.mode,
-        "count": report.count,
-        "median_is_all_ones": report.median_is_all_ones,
-        "median_matrix_norm": report.median_matrix_norm,
-        "member_quantiles": {str(q): v for q, v in report.member_quantiles},
-        "threshold_fractions": {str(c): f for c, f in report.threshold_fractions},
-        "member_max": report.member_max,
-        "ratio_median_to_q90": report.ratio_median_to_q90,
-    }
-    _emit(doc, args.output, started)
-    return 0
+def cmd_opnorm_demo(args) -> tuple[dict, bool]:
+    report = median_counterexample_report(args.k, mode=args.mode, samples=args.samples, seed=args.seed)
+    doc = {"command": "opnorm-demo", **dataclasses.asdict(report)}
+    doc["member_quantiles"] = {str(q): v for q, v in report.member_quantiles}
+    doc["threshold_fractions"] = {str(c): f for c, f in report.threshold_fractions}
+    return doc, True
 
 
-def cmd_baseline(args) -> int:
-    started = time.perf_counter()
-    space, ps, backend, inst = _load_input(args.input, args.format, args.space, _parse_p(args.p))
+def cmd_baseline(args) -> tuple[dict, bool]:
+    space, ps, backend, inst = _load_input(args)
     r = _resolve_r(args, inst)
     if r is None:
         raise UsageError("the randomized baseline requires --r")
@@ -463,8 +424,7 @@ def cmd_baseline(args) -> int:
                 "covered_weight": ball.covered_weight,
             }
         )
-    _emit(doc, args.output, started)
-    return 0 if ball is not None else 2
+    return doc, ball is not None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,13 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help="input format; auto maps .csv/.json/other to csv/instance/matrix",
             )
+            sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
+            sp.add_argument("--alpha", type=float, required=True)
         sp.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
         sp.add_argument("--p", default="2", help="l_p parameter for coordinate spaces ('inf' allowed)")
-        sp.add_argument("--verify-tol", type=_tolerance, default=1e-12, help="relative verification slack")
+        sp.add_argument("--verify-tol", type=_tolerance, default=VERIFY_REL_TOL, help="relative verification slack")
 
     sp = sub.add_parser("solve", help="run one solver and verify its ball")
     add_io(sp)
-    sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
     sp.add_argument(
         "--solver",
         default=None,
@@ -499,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"metric: {' | '.join(METRIC_SOLVERS)}"
         ),
     )
-    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None, help="assumed inlier radius (normed solvers)")
     sp.add_argument(
         "--search-r",
@@ -512,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check one ball against an instance")
     add_io(sp)
-    sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
-    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--center", default=None, help="comma-separated coordinates")
     sp.add_argument("--center-index", type=int, default=None, help="point index (metric)")
@@ -521,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover", help="peel a multi-ball cover")
     add_io(sp)
-    sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
-    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--C", type=int, default=2)
     sp.set_defaults(func=cmd_cover)
@@ -563,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("baseline", help="randomized pick-and-verify comparator")
     add_io(sp)
-    sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
-    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float, default=None)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=cmd_baseline)
@@ -579,8 +533,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract here is 1
         return 0 if exc.code in (0, None) else 1
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        doc, verified = args.func(args)
+        doc.update(schema_version=OUTPUT_SCHEMA_VERSION, wall_time_s=time.perf_counter() - started)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except NoSolution as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 2
@@ -596,6 +558,7 @@ def main(argv=None) -> int:
     except OneCenterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if verified else 2
 
 
 if __name__ == "__main__":

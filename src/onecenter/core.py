@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 from .oracle import DistanceOracle
 
 PointHandle = Union[np.ndarray, int]
@@ -80,6 +80,7 @@ class WeightedPointSet:
     @classmethod
     def indexed(cls, n: int, weights=None) -> "WeightedPointSet":
         """Oracle-backed set of n points with the given (default unit) weights."""
+        n = require_int("n", n, 1)
         if weights is None:
             weights = np.ones(n)
         weights = np.asarray(weights, dtype=np.float64)
@@ -124,8 +125,8 @@ def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: flo
     then be a coordinate vector) or a DistanceOracle (center must be a
     point index, and the sweep is counted against the oracle's budget).
     """
-    if radius < 0:
-        raise ArgumentError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ArgumentError(f"radius must be nonnegative, got {radius}")
     if isinstance(space, DistanceOracle):
         if not isinstance(center, (int, np.integer)):
             raise ArgumentError("oracle-backed covered_weight needs a center index")

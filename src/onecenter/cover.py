@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .core import CandidateBall, WeightedPointSet, require_positive_weight, require_radius
-from .errors import ArgumentError, UnsupportedFractionError
+from .errors import ArgumentError, UnsupportedFractionError, require_int
 from .normed import _halfplus_center
 from .spaces import NormedSpaceOps
 
@@ -66,7 +66,7 @@ def any_alpha_constant(alpha: float) -> float:
 
 def bucket_constant(C: float) -> float:
     """Output constant C' = C^2 + 2C + 2 of one bucket-reduction stage."""
-    if C <= 0:
+    if not C > 0:
         raise ArgumentError(f"C must be positive, got {C}")
     return C * C + 2.0 * C + 2.0
 
@@ -75,8 +75,7 @@ def logtower_base_fraction(beta: float, k: int) -> float:
     """Base fraction (beta/2)^(2^k) / 2 driving a k-stage composition."""
     if not 0.0 < beta < 1.0:
         raise ArgumentError(f"beta must be in (0, 1), got {beta}")
-    if k < 0:
-        raise ArgumentError(f"k must be nonnegative, got {k}")
+    k = require_int("k", k, 0)
     return (beta / 2.0) ** (2**k) / 2.0
 
 
@@ -144,8 +143,8 @@ def ball_cover(
     """
     if not 0.0 < alpha <= beta <= 1.0:
         raise ArgumentError(f"need 0 < alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
-    if C <= 0:
-        raise ArgumentError(f"C must be positive, got {C}")
+    if not 0.0 < C < math.inf:
+        raise ArgumentError(f"C must be finite and positive, got {C}")
     require_radius(r)
     if ps.coords is None:
         raise ArgumentError("ball_cover needs explicit coordinates")
@@ -493,6 +492,7 @@ def _iterated_bucket_fn(f, times: int):
 
 def logtower_constant(beta: float, k: int) -> float:
     """Composed approximation constant reported by cluster_logtower."""
+    k = require_int("k", k, 0)
     if k == 0:
         return any_alpha_constant(beta)
     c = any_alpha_constant(logtower_base_fraction(beta, k))
@@ -514,8 +514,7 @@ def cluster_logtower(
     """
     if not 0.0 < beta < 1.0:
         raise ArgumentError(f"beta must be in (0, 1), got {beta}")
-    if k < 0 or int(k) != k:
-        raise ArgumentError(f"k must be a nonnegative integer, got {k}")
+    k = require_int("k", k, 0)
     require_radius(r)
     if k == 0:
         return cluster_any_alpha(ps, space, beta, r)

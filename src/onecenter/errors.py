@@ -25,3 +25,15 @@ class ParseError(OneCenterError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ArgumentError unless it is a finite integer (an
+    integral float counts) of at least ``minimum``."""
+    try:
+        ok = int(value) == value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import WeightedPointSet, covered_weight, require_radius
 from .cover import gap_constant
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 from .oracle import DistanceOracle, MatrixOracle
 from .spaces import LpSpace, NormedSpaceOps
 
@@ -137,10 +137,7 @@ def generate_planted(
         raise ArgumentError(f"weights must be one of {_WEIGHTS}, got {weights!r}")
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if n < 2 or d < 1:
-        raise ArgumentError("need n >= 2 and d >= 1")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    n, d, seed = require_int("n", n, 2), require_int("d", d, 1), require_int("seed", seed, 0)
     require_radius(r)
     if not 4.0 <= separation < math.inf:
         raise ArgumentError(f"separation must be finite and at least 4, got {separation}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CandidateBall, WeightedPointSet, require_positive_weight
-from .errors import ArgumentError, UnsupportedFractionError
+from .errors import ArgumentError, UnsupportedFractionError, require_int
 from .oracle import DistanceOracle
 from .selection import best_candidate
 
@@ -40,8 +40,7 @@ class MetricCover:
 
 def exact_ceil_root(n: int, C: int) -> int:
     """Smallest m with m**C >= n, immune to float-power rounding."""
-    if n < 1 or C < 1:
-        raise ArgumentError("need n >= 1 and C >= 1")
+    n, C = require_int("n", n, 1), require_int("C", C, 1)
     m = max(1, int(round(n ** (1.0 / C))))
     while m > 1 and (m - 1) ** C >= n:
         m -= 1
@@ -52,6 +51,7 @@ def exact_ceil_root(n: int, C: int) -> int:
 
 def metric_query_bound(C: int, n: int) -> float:
     """Measured-constant-free query bound c0 * C * n^(1+1/C) with c0 = 4."""
+    C, n = require_int("C", C, 1), require_int("n", n, 1)
     return 4.0 * C * float(n) ** (1.0 + 1.0 / C)
 
 
@@ -112,10 +112,8 @@ def metric_halfplus(
     """
     if not 0.5 < alpha <= 1.0:
         raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
-    if C < 1 or int(C) != C:
-        raise ArgumentError(f"C must be a positive integer, got {C}")
+    C = require_int("C", C, 1)
     _validate_metric_args(ps, oracle)
-    C = int(C)
     points, weights, m = _pad_for_blocks(ps, C)
     slot, radius = _halfplus_range(oracle, points, weights, 0, m**C, C, alpha, m)
     idx = int(points[slot])
@@ -207,10 +205,8 @@ def metric_cover(
     """
     if not 0.0 < alpha <= 1.0:
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if C < 1 or int(C) != C:
-        raise ArgumentError(f"C must be a positive integer, got {C}")
+    C = require_int("C", C, 1)
     _validate_metric_args(ps, oracle)
-    C = int(C)
     if math.floor(1.0 / alpha + _TIE_EPS) == 1:
         ball = metric_halfplus(ps, oracle, alpha, C)
         return MetricCover((int(ball.center_index),), (float(ball.radius),), alpha, 2.0 * C)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 from .spaces import NormedSpaceOps
 
 THRESHOLD_FACTORS = (2.0, 2.1, 2.5)
@@ -64,10 +64,8 @@ class OperatorNormSpace(NormedSpaceOps):
     """
 
     def __init__(self, k: int):
-        if k <= 0:
-            raise ArgumentError("matrix side k must be positive")
-        super().__init__(k * k)
-        self.k = int(k)
+        self.k = require_int("matrix side k", k, 1)
+        super().__init__(self.k * self.k)
 
     def norm(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
@@ -93,9 +91,7 @@ def _sign_matrices_exhaustive(k: int) -> np.ndarray:
 
 def _sample_sign_matrices(k: int, samples: int, seed: int) -> np.ndarray:
     """Uniform draws from the same ensemble (all-minus-ones excluded)."""
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     mats = np.where(rng.integers(0, 2, size=(samples, k, k)) == 1, 1.0, -1.0)
     while True:
         bad = np.flatnonzero(np.all(mats == -1.0, axis=(1, 2)))
@@ -143,8 +139,7 @@ def median_counterexample_report(
     90th percentile; it grows like sqrt(k), the gap the study exists to
     demonstrate.
     """
-    if k <= 0:
-        raise ArgumentError("k must be positive")
+    k = require_int("k", k, 1)
     if mode not in ("sampled", "exhaustive"):
         raise ArgumentError(f"mode must be 'sampled' or 'exhaustive', got {mode!r}")
     if mode == "exhaustive":
@@ -152,9 +147,7 @@ def median_counterexample_report(
         median_mat = np.median(mats, axis=0)
         median_is_ones = bool(np.array_equal(median_mat, np.ones((k, k))))
     else:
-        if samples < 100:
-            raise ArgumentError("sampled mode needs at least 100 samples")
-        mats = _sample_sign_matrices(k, samples, seed)
+        mats = _sample_sign_matrices(k, require_int("samples in sampled mode", samples, 100), seed)
         median_mat = np.ones((k, k))
         median_is_ones = True
     norms = np.linalg.svd(mats, compute_uv=False)[:, 0]

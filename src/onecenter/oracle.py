@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 
 
 class DistanceOracle(ABC):
@@ -29,9 +29,7 @@ class DistanceOracle(ABC):
     """
 
     def __init__(self, size: int):
-        if size <= 0:
-            raise ArgumentError("oracle size must be positive")
-        self._size = int(size)
+        self._size = require_int("oracle size", size, 1)
         self._queries = 0
         self._lock = threading.Lock()
 

@@ -7,7 +7,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 
 # arrays whose dtype is this object are used as given; anything else,
 # another float64 dtype object included, goes through ``np.asarray``
@@ -24,9 +24,7 @@ class NormedSpaceOps(ABC):
     """
 
     def __init__(self, d: int):
-        if d <= 0:
-            raise ArgumentError("dimension must be positive")
-        self.d = int(d)
+        self.d = require_int("dimension", d, 1)
 
     @abstractmethod
     def norm(self, v: np.ndarray) -> float: ...

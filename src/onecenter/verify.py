@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import CandidateBall, WeightedPointSet, covered_weight, require_positive_weight, require_radius
-from .errors import ArgumentError
+from .errors import ArgumentError, require_int
 from .oracle import DistanceOracle
 from .selection import best_candidate
 from .spaces import NormedSpaceOps
@@ -50,6 +50,20 @@ def verify_ball(
     return bool(ok), float(covered)
 
 
+def _oracle_mode(ps: WeightedPointSet, space) -> bool:
+    """True for an oracle over ps's n points, False for a normed space
+    over ps's coordinates; ArgumentError for anything else."""
+    if isinstance(space, DistanceOracle):
+        if ps.n != space.size:
+            raise ArgumentError("point set and oracle sizes differ")
+        return True
+    if not isinstance(space, NormedSpaceOps):
+        raise ArgumentError("space must be a NormedSpaceOps or DistanceOracle")
+    if ps.coords is None:
+        raise ArgumentError("coordinate space requires point coordinates")
+    return False
+
+
 def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall:
     """Smallest ball centered at an input point covering >= alpha * w.
 
@@ -63,9 +77,7 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
     require_positive_weight(ps)
     target = alpha * float(np.sum(ps.weights))
     n = ps.n
-    if isinstance(space, DistanceOracle):
-        if n != space.size:
-            raise ArgumentError("point set and oracle sizes differ")
+    if _oracle_mode(ps, space):
         idx = np.arange(n)
         best_i, best_s, _ = best_candidate(
             lambda chunk: space.dist_block(chunk, idx), idx, ps.weights, target
@@ -73,10 +85,6 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
         d = space.dist_many(best_i, idx)
         covered = float(np.sum(ps.weights[d <= best_s]))
         return CandidateBall(center=int(best_i), radius=float(best_s), covered_weight=covered, center_index=int(best_i))
-    if not isinstance(space, NormedSpaceOps):
-        raise ArgumentError("space must be a NormedSpaceOps or DistanceOracle")
-    if ps.coords is None:
-        raise ArgumentError("coordinate space requires point coordinates")
 
     def rows(chunk):
         return np.stack([space.distances(ps.coords, ps.coords[i]) for i in chunk])
@@ -114,15 +122,15 @@ def las_vegas_baseline(
         raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
     require_radius(r)
     require_positive_weight(ps)
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    oracle_mode = _oracle_mode(ps, space)
+    seed = require_int("seed", seed, 0)
     if max_attempts is None:
         max_attempts = int(math.ceil(10.0 / alpha))
+    max_attempts = require_int("max_attempts", max_attempts, 1)
     rng = np.random.default_rng(seed)
     total = ps.total_weight
     target = alpha * total
     probs = ps.weights / total
-    oracle_mode = isinstance(space, DistanceOracle)
     for attempt in range(1, max_attempts + 1):
         i = int(rng.choice(ps.n, p=probs))
         if oracle_mode:

@@ -471,3 +471,32 @@ def test_reruns_are_byte_identical_modulo_timing(tmp_path):
     demo = [sys.executable, "-m", "onecenter", "opnorm-demo", "--k", "8", "--samples", "300"]
     runs = [subprocess.run(demo, capture_output=True, text=True, check=True) for _ in range(2)]
     assert _strip_timing(runs[0].stdout) == _strip_timing(runs[1].stdout)
+
+
+WRITE_PATH_CASES = {
+    "solve": ["solve", "--input", "{csv}", "--alpha", "0.75"],
+    "verify": ["verify", "--input", "{csv}", "--alpha", "0.75", "--radius", "1", "--center", "0,0,0"],
+    "cover": ["cover", "--input", "{matrix}", "--alpha", "0.4"],
+    "bench": ["bench", "--sizes", "8,12,16,20"],
+    "gen": ["gen", "--space", "lp", "--n", "20", "--alpha", "0.75", "--out", "{tmp}/gen.json"],
+    "opnorm-demo": ["opnorm-demo", "--k", "3", "--mode", "exhaustive"],
+    "baseline": ["baseline", "--input", "{csv}", "--alpha", "0.75", "--r", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_PATH_CASES))
+def test_output_file_carries_the_stdout_report(lp_csv, metric_matrix, tmp_path, capsys, command):
+    names = {"csv": lp_csv[0], "matrix": metric_matrix[0], "tmp": tmp_path}
+    argv = [arg.format(**names) for arg in WRITE_PATH_CASES[command]]
+    code = main(argv)
+    printed, _ = capsys.readouterr()
+    assert printed
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert _strip_timing(out.read_text()) == _strip_timing(printed)
+
+    assert main([*argv, "--output", str(tmp_path / "no-such-dir" / "report.json")]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("io error:")

@@ -1,6 +1,8 @@
-"""Point sets, covered weight, and distance oracles with query counting."""
+"""Point sets, covered weight, distance oracles with query counting, and
+the one rule for integer arguments."""
 
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,18 @@ from onecenter import (
     CallableOracle,
     LpSpace,
     MatrixOracle,
+    OperatorNormSpace,
     WeightedPointSet,
+    cluster_logtower,
     covered_weight,
+    exact_ceil_root,
     generate_planted,
+    las_vegas_baseline,
+    logtower_constant,
+    median_counterexample_report,
+    metric_cover,
     metric_halfplus,
+    metric_query_bound,
 )
 from onecenter.oracle import _triangle_violation
 
@@ -105,6 +115,58 @@ def test_covered_weight_validates_arguments():
         covered_weight(WeightedPointSet.indexed(2), oracle, np.zeros(1), 1.0)
     with pytest.raises(ArgumentError):
         covered_weight(WeightedPointSet.indexed(3), oracle, 0, 1.0)
+
+
+def test_covered_weight_rejects_a_nan_radius():
+    ps = WeightedPointSet.from_coords([[0.0, 0.0], [3.0, 4.0]])
+    with pytest.raises(ArgumentError, match="nan"):
+        covered_weight(ps, LpSpace(2, 2), np.zeros(2), math.nan)
+
+
+_IDX4 = WeightedPointSet.indexed(4)
+_LINE4 = MatrixOracle(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))))
+_LP_PS = WeightedPointSet.from_coords(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: metric_halfplus(_IDX4, _LINE4, 0.75, math.nan), id="halfplus-C-nan"),
+        pytest.param(lambda: metric_halfplus(_IDX4, _LINE4, 0.75, math.inf), id="halfplus-C-inf"),
+        pytest.param(lambda: metric_cover(_IDX4, _LINE4, 0.4, math.nan), id="cover-C-nan"),
+        pytest.param(lambda: metric_cover(_IDX4, _LINE4, 0.4, math.inf), id="cover-C-inf"),
+        pytest.param(lambda: metric_query_bound(0, 10), id="query-bound-C-0"),
+        pytest.param(lambda: metric_query_bound(2, 0.5), id="query-bound-n-half"),
+        pytest.param(lambda: cluster_logtower(_LP_PS, LpSpace(2, 2), 0.3, 1.5, 1.0), id="logtower-k-1.5"),
+        pytest.param(lambda: logtower_constant(0.3, 1.5), id="logtower-constant-k-1.5"),
+        pytest.param(lambda: median_counterexample_report(2.5, samples=100), id="opnorm-k-2.5"),
+        pytest.param(lambda: median_counterexample_report(2, samples=100.5), id="opnorm-samples-100.5"),
+        pytest.param(lambda: LpSpace(2, 2.5), id="lp-d-2.5"),
+        pytest.param(lambda: LpSpace(2, 0), id="lp-d-0"),
+        pytest.param(lambda: OperatorNormSpace(2.5), id="opnorm-space-k-2.5"),
+        pytest.param(lambda: CallableOracle(lambda i, j: 0.0, 2.5), id="callable-size-2.5"),
+        pytest.param(lambda: exact_ceil_root(10.5, 2), id="ceil-root-n-10.5"),
+        pytest.param(lambda: exact_ceil_root(10, math.nan), id="ceil-root-C-nan"),
+        pytest.param(lambda: WeightedPointSet.indexed(2.5), id="indexed-n-2.5"),
+        pytest.param(lambda: generate_planted("lp", n=20.5, d=2, alpha=0.75), id="generate-n-20.5"),
+        pytest.param(lambda: las_vegas_baseline(_LP_PS, LpSpace(2, 2), 0.75, 1.0, seed=0.5), id="baseline-seed-0.5"),
+    ],
+)
+def test_integer_arguments_must_be_finite_integers_at_least_a_minimum(call):
+    with pytest.raises(ArgumentError, match="must be an integer >="):
+        call()
+
+
+def test_integral_floats_still_count_as_integers():
+    assert LpSpace(2, 3.0).d == 3
+    assert OperatorNormSpace(np.int64(2)).k == 2
+    assert exact_ceil_root(10.0, 2.0) == 4
+    assert metric_query_bound(2.0, 100) == metric_query_bound(2, 100)
+    assert logtower_constant(0.3, 1.0) == logtower_constant(0.3, 1)
+    inst = generate_planted("lp", n=16, d=2, alpha=0.3, seed=1, mode="gap")
+    space = inst.space_ops()
+    a, b = (cluster_logtower(inst.ps, space, 0.3, k, inst.r) for k in (1.0, 1))
+    assert (a.center.tobytes(), a.radius, a.covered_weight) == (b.center.tobytes(), b.radius, b.covered_weight)
 
 
 def test_matrix_oracle_accepts_valid_metric():

@@ -134,6 +134,17 @@ def test_ball_cover_argument_checks():
         ball_cover(solver.solve, ps, space, 0.5, 0.5, 1.0, 0.0)
 
 
+def test_nan_radius_multiples_are_rejected():
+    ps = WeightedPointSet.from_coords(np.zeros((2, 2)))
+    space = LpSpace(2.0, 2)
+    solver = any_alpha_solver(space, 0.5)
+    for C in (math.nan, math.inf):
+        with pytest.raises(ArgumentError):
+            ball_cover(solver.solve, ps, space, 0.5, 0.5, C, 1.0)
+    with pytest.raises(ArgumentError):
+        bucket_constant(math.nan)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_below_half_cover_on_planted_gap_instances(alpha):
     inst = generate_planted("lp", n=257, d=4, alpha=alpha, r=1.0, seed=3, mode="gap")

@@ -197,6 +197,16 @@ def test_las_vegas_attempt_cap_reports_failure():
     assert attempts == 25
 
 
+def test_las_vegas_checks_the_point_set_against_the_space():
+    oracle = MatrixOracle(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
+    with pytest.raises(ArgumentError, match="sizes differ"):
+        las_vegas_baseline(WeightedPointSet.indexed(2), oracle, 0.5, 1.0, seed=0)
+    with pytest.raises(ArgumentError, match="coordinates"):
+        las_vegas_baseline(WeightedPointSet.indexed(3), LpSpace(2.0, 2), 0.5, 1.0, seed=0)
+    with pytest.raises(ArgumentError, match="NormedSpaceOps or DistanceOracle"):
+        las_vegas_baseline(WeightedPointSet.from_coords(np.zeros((3, 2))), object(), 0.5, 1.0, seed=0)
+
+
 def test_generator_determinism_and_ground_truth():
     a = generate_planted("lp", n=100, d=3, alpha=0.6, r=1.0, seed=77)
     b = generate_planted("lp", n=100, d=3, alpha=0.6, r=1.0, seed=77)
