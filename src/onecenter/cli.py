@@ -51,7 +51,7 @@ from .opnorm import median_counterexample_report
 from .oracle import MatrixOracle
 from .selection import weighted_quantile_radius
 from .spaces import LpSpace
-from .verify import VERIFY_REL_TOL, brute_force_best, las_vegas_baseline, verify_ball
+from .verify import VERIFY_REL_TOL, _meets_fraction, brute_force_best, las_vegas_baseline, verify_ball
 
 OUTPUT_SCHEMA_VERSION = 1
 _SEARCH_R_CAP = 64
@@ -220,8 +220,8 @@ def _solve_metric(doc: dict, solver: str, ps, oracle, args, inst) -> bool:
     if solver == "brute-force":
         doc.update(approx_constant=1.0, verified=True)
     else:
-        verified = result.covered_weight >= alpha * total - args.verify_tol * total
-        doc.update(C=C, approx_constant=2.0 * C, verified=bool(verified))
+        verified = _meets_fraction(result.covered_weight, alpha, total, args.verify_tol)
+        doc.update(C=C, approx_constant=2.0 * C, verified=verified)
     return doc["verified"]
 
 

@@ -13,8 +13,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ArgumentError, require_int
+from .errors import ArgumentError, UnsupportedFractionError, require_int
 from .oracle import DistanceOracle
+from .spaces import NormedSpaceOps
 
 PointHandle = Union[np.ndarray, int]
 
@@ -118,6 +119,39 @@ def require_radius(r: float) -> None:
         raise ArgumentError(f"r must be finite and positive, got {r}")
 
 
+def require_fraction(alpha: float, above_half: bool = False) -> None:
+    """Raise UnsupportedFractionError unless alpha is in (0, 1], or in
+    (1/2, 1] for the above-half solvers.  NaN is rejected."""
+    if not (0.5 if above_half else 0.0) < alpha <= 1.0:
+        raise UnsupportedFractionError(
+            f"alpha must be in ({'1/2' if above_half else '0'}, 1], got {alpha}"
+        )
+
+
+def require_pairing(
+    ps: WeightedPointSet, space, kinds: tuple = (NormedSpaceOps, DistanceOracle)
+) -> bool:
+    """Check that ``space`` is one of ``kinds`` and fits ``ps``; True when
+    it is a DistanceOracle, False when it is a NormedSpaceOps.
+
+    The two point models: a NormedSpaceOps needs ``ps`` to carry
+    coordinates of its dimension d, a DistanceOracle needs ``ps`` to
+    hold exactly its size points (coordinates, if any, are ignored).
+    """
+    if not isinstance(space, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ArgumentError(f"space must be a {names}, got {type(space).__name__}")
+    if isinstance(space, DistanceOracle):
+        if ps.n != space.size:
+            raise ArgumentError(f"point set and oracle sizes differ: {ps.n} vs {space.size}")
+        return True
+    if ps.coords is None:
+        raise ArgumentError("a normed space needs a point set with coordinates")
+    if ps.d != space.d:
+        raise ArgumentError(f"point set and space dimensions differ: {ps.d} vs {space.d}")
+    return False
+
+
 def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: float) -> float:
     """Total weight within distance <= radius of center (closed ball).
 
@@ -127,15 +161,11 @@ def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: flo
     """
     if not radius >= 0:
         raise ArgumentError(f"radius must be nonnegative, got {radius}")
-    if isinstance(space, DistanceOracle):
+    if require_pairing(ps, space):
         if not isinstance(center, (int, np.integer)):
             raise ArgumentError("oracle-backed covered_weight needs a center index")
-        if ps.n != space.size:
-            raise ArgumentError("point set and oracle sizes differ")
         dists = space.sweep(int(center))
     else:
-        if ps.coords is None:
-            raise ArgumentError("coordinate-backed covered_weight needs coords")
         center = np.asarray(center, dtype=np.float64)
         dists = space.distances(ps.coords, center)
     return float(np.sum(ps.weights[dists <= radius]))

@@ -2,7 +2,7 @@
 
 For fractions at or below 1/2 a single ball cannot be pinned down: the
 weight may sit in several far-apart clusters.  The machinery here
-returns small covers instead and drives them through three layers:
+returns small covers instead and drives them through four layers:
 
 * ``ball_cover``: peel off one ball at a time at a boosted fraction;
 * ``below_half_cover``: index-halving recursion that works under a gap
@@ -22,7 +22,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, require_positive_weight, require_radius
+from .core import (
+    CandidateBall, WeightedPointSet, require_fraction, require_pairing,
+    require_positive_weight, require_radius,
+)
 from .errors import ArgumentError, UnsupportedFractionError, require_int
 from .normed import _halfplus_center
 from .spaces import NormedSpaceOps
@@ -33,29 +36,25 @@ from .spaces import NormedSpaceOps
 
 def gap_constant(alpha: float) -> float:
     """Cover radius constant C = 2 + 2/alpha of the gap-condition solver."""
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     return 2.0 + 2.0 / alpha
 
 
 def scale_count(alpha: float) -> int:
     """Largest scale index tried: floor(log(1/alpha) / log(3/2))."""
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     return int(math.floor(math.log(1.0 / alpha) / math.log(1.5) + 1e-12))
 
 
 def scale_base(alpha: float) -> float:
     """Radius growth per scale, 8/alpha + 7 (equal to 2C+3 at fraction alpha/2)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     return 8.0 / alpha + 7.0
 
 
 def verify_factor(alpha: float) -> float:
     """Verification radius multiple 4/alpha + 4 used on candidate centers."""
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     return 4.0 / alpha + 4.0
 
 
@@ -146,8 +145,7 @@ def ball_cover(
     if not 0.0 < C < math.inf:
         raise ArgumentError(f"C must be finite and positive, got {C}")
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("ball_cover needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     y = beta * ps.total_weight
     weights = ps.weights.copy()
@@ -294,11 +292,9 @@ def below_half_cover(
     candidates are computed only if the earlier ones all fail; the
     cover needs every center and drains the top-level generator.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("below_half_cover needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     points, weights = _pad_pow2(ps.coords, ps.weights)
     centers = list(_below_half_centers(points, weights, space, alpha, r, 0, {}))
@@ -334,11 +330,9 @@ def cluster_any_alpha(
     computed once a candidate verifies; the answer is the one a full
     cover would give, bit for bit.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("cluster_any_alpha needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     points, weights = _pad_pow2(ps.coords, ps.weights)
     w = ps.total_weight
@@ -419,8 +413,7 @@ def bucket_reduce(
             f"bucket_reduce needs alpha <= 1/2 so that sqrt(2*alpha) <= 1, got {alpha}"
         )
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("bucket_reduce needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     if inner.min_fraction > alpha:
         raise ArgumentError(
             f"inner solver requires fraction >= {inner.min_fraction}, need {alpha}"
@@ -516,6 +509,7 @@ def cluster_logtower(
         raise ArgumentError(f"beta must be in (0, 1), got {beta}")
     k = require_int("k", k, 0)
     require_radius(r)
+    require_pairing(ps, space, (NormedSpaceOps,))
     if k == 0:
         return cluster_any_alpha(ps, space, beta, r)
     base_fraction = logtower_base_fraction(beta, k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightedPointSet, covered_weight, require_radius
+from .core import WeightedPointSet, covered_weight, require_fraction, require_radius
 from .cover import gap_constant
 from .errors import ArgumentError, require_int
 from .oracle import DistanceOracle, MatrixOracle
@@ -135,8 +135,7 @@ def generate_planted(
         raise ArgumentError(f"mode must be one of {_MODES}, got {mode!r}")
     if weights not in _WEIGHTS:
         raise ArgumentError(f"weights must be one of {_WEIGHTS}, got {weights!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     n, d, seed = require_int("n", n, 2), require_int("d", d, 1), require_int("seed", seed, 0)
     require_radius(r)
     if not 4.0 <= separation < math.inf:

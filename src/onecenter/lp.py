@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .core import WeightedPointSet, require_positive_weight
-from .errors import ArgumentError, UnsupportedFractionError
+from .core import WeightedPointSet, require_fraction, require_pairing, require_positive_weight
+from .errors import ArgumentError
 from .selection import weighted_median
-from .spaces import LpSpace
+from .spaces import LpSpace, NormedSpaceOps
 
 
 def lp_median_bound(alpha: float, p: float) -> float:
@@ -26,8 +26,7 @@ def lp_median_bound(alpha: float, p: float) -> float:
     For finite p this is (alpha / (alpha - 1/2))^(1/p).  At p = inf the
     exponent collapses and the bound is the trivial constant 1.
     """
-    if not alpha > 0.5:
-        raise UnsupportedFractionError(f"alpha must exceed 1/2, got {alpha}")
+    require_fraction(alpha, above_half=True)
     if not p >= 1.0:
         raise ArgumentError(f"p must be >= 1, got {p}")
     if math.isinf(p):
@@ -42,12 +41,8 @@ def lp_coordinate_median(ps: WeightedPointSet, space: LpSpace, alpha: float) -> 
     holds; it only gates validity (alpha > 1/2) and the reported bound,
     the median itself is alpha-free.
     """
-    if not 0.5 < alpha <= 1.0:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
-    if ps.coords is None:
-        raise ArgumentError("lp_coordinate_median needs explicit coordinates")
-    if ps.coords.shape[1] != space.d:
-        raise ArgumentError("point set and space dimensions differ")
+    require_fraction(alpha, above_half=True)
+    require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     out = np.empty(space.d)
     for k in range(space.d):

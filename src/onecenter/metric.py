@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, require_positive_weight
-from .errors import ArgumentError, UnsupportedFractionError, require_int
+from .core import CandidateBall, WeightedPointSet, require_fraction, require_pairing, require_positive_weight
+from .errors import require_int
 from .oracle import DistanceOracle
 from .selection import best_candidate
 
@@ -53,12 +53,6 @@ def metric_query_bound(C: int, n: int) -> float:
     """Measured-constant-free query bound c0 * C * n^(1+1/C) with c0 = 4."""
     C, n = require_int("C", C, 1), require_int("n", n, 1)
     return 4.0 * C * float(n) ** (1.0 + 1.0 / C)
-
-
-def _validate_metric_args(ps: WeightedPointSet, oracle: DistanceOracle) -> None:
-    if ps.n != oracle.size:
-        raise ArgumentError("point set and oracle sizes differ")
-    require_positive_weight(ps)
 
 
 def _pad_for_blocks(ps: WeightedPointSet, C: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -110,10 +104,10 @@ def metric_halfplus(
     C = 1 is exactly the brute-force sweep over all centers (lowest
     index wins ties).
     """
-    if not 0.5 < alpha <= 1.0:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
+    require_fraction(alpha, above_half=True)
     C = require_int("C", C, 1)
-    _validate_metric_args(ps, oracle)
+    require_pairing(ps, oracle, (DistanceOracle,))
+    require_positive_weight(ps)
     points, weights, m = _pad_for_blocks(ps, C)
     slot, radius = _halfplus_range(oracle, points, weights, 0, m**C, C, alpha, m)
     idx = int(points[slot])
@@ -181,9 +175,9 @@ def metric_quadratic(ps: WeightedPointSet, oracle: DistanceOracle, alpha: float)
     radius-r ball holding y weight intersects a recorded ball of radius
     at most 2r.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    _validate_metric_args(ps, oracle)
+    require_fraction(alpha)
+    require_pairing(ps, oracle, (DistanceOracle,))
+    require_positive_weight(ps)
     found = _cover_range(oracle, np.arange(ps.n), ps.weights.copy(), 0, alpha, 1, ps.n)
     centers = tuple(int(i) for i, _ in found)
     radii = tuple(float(s) for _, s in found)
@@ -197,22 +191,19 @@ def metric_cover(
     holding alpha*w weight intersects a listed ball of radius <= 2C*r.
 
     Induction on (floor(1/alpha), C): alpha > 1/2 delegates to
-    metric_halfplus; C = 1 is metric_quadratic; otherwise each peel
-    round recurses into the m blocks at level C-1, evaluates all block
-    candidates globally at the fixed threshold alpha * w_original, keeps
-    the minimal-radius one (ties to the lowest point index), zeroes its
-    ball, and repeats on the remaining weight.
+    metric_halfplus; otherwise each peel round recurses into the m
+    blocks at level C-1, evaluates all block candidates globally at the
+    fixed threshold alpha * w_original, keeps the minimal-radius one
+    (ties to the lowest point index), zeroes its ball, and repeats on
+    the remaining weight.  C = 1 makes exactly metric_quadratic's queries.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     C = require_int("C", C, 1)
-    _validate_metric_args(ps, oracle)
+    require_pairing(ps, oracle, (DistanceOracle,))
+    require_positive_weight(ps)
     if math.floor(1.0 / alpha + _TIE_EPS) == 1:
         ball = metric_halfplus(ps, oracle, alpha, C)
         return MetricCover((int(ball.center_index),), (float(ball.radius),), alpha, 2.0 * C)
-    if C == 1:
-        cover = metric_quadratic(ps, oracle, alpha)
-        return MetricCover(cover.centers, cover.radii, alpha, 2.0)
     points, weights, m = _pad_for_blocks(ps, C)
     found = _cover_range(oracle, points, weights, 0, alpha, C, m)
     centers = tuple(int(points[i]) for i, _ in found)

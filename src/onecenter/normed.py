@@ -17,15 +17,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, require_positive_weight, require_radius
-from .errors import ArgumentError, DegenerateInputError, UnsupportedFractionError
+from .core import (
+    CandidateBall, WeightedPointSet, require_fraction, require_pairing,
+    require_positive_weight, require_radius,
+)
+from .errors import ArgumentError, DegenerateInputError
 from .spaces import NormedSpaceOps
 
 
 def halfplus_constant(alpha: float) -> float:
     """Approximation constant 4*alpha / (2*alpha - 1) = 2 + 1/(alpha - 1/2)."""
-    if not 0.5 < alpha <= 1.0:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
+    require_fraction(alpha, above_half=True)
     return 4.0 * alpha / (2.0 * alpha - 1.0)
 
 
@@ -36,9 +38,8 @@ def refine_iteration_cap(alpha: float) -> int:
     eps = alpha - 1/2, and (3C+4)/C < 5, so ceil(log 5 / log(1/(1-eps)))
     steps always suffice.
     """
+    require_fraction(alpha, above_half=True)
     eps = alpha - 0.5
-    if not 0.0 < eps <= 0.5:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
     return math.ceil(math.log(5.0) / math.log(1.0 / (1.0 - eps)))
 
 
@@ -90,8 +91,7 @@ def pair_reduce(ps: WeightedPointSet, space: NormedSpaceOps, r: float) -> PairRe
     holding the same fraction of the new total.
     """
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("pair_reduce needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     pts, v = _pair_reduce_arrays(ps.coords, ps.weights, space, r)
     return PairReduction(pts, v)
 
@@ -111,14 +111,12 @@ def centroid_refine(
     the centroid lands within (K - K*eps - 1)*r of that ball's center.
     Raises DegenerateInputError when no weight falls within K*r.
     """
+    require_fraction(alpha, above_half=True)
     eps = alpha - 0.5
-    if not 0.0 < eps <= 0.5:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
     require_radius(r)
     if K < 2.0 + 1.0 / eps - 1e-9:
         raise ArgumentError(f"K must be at least 2 + 1/eps = {2 + 1/eps}, got {K}")
-    if ps.coords is None:
-        raise ArgumentError("centroid_refine needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     a = np.asarray(a, dtype=np.float64)
     mask = space.distances(ps.coords, a) <= K * r
     total = float(np.sum(ps.weights[mask]))
@@ -207,11 +205,9 @@ def cluster_halfplus(
     level's refine loop makes at most refine_iteration_cap(alpha)
     passes over it.  Fully deterministic.
     """
-    if not 0.5 < alpha <= 1.0:
-        raise UnsupportedFractionError(f"alpha must be in (1/2, 1], got {alpha}")
+    require_fraction(alpha, above_half=True)
     require_radius(r)
-    if ps.coords is None:
-        raise ArgumentError("cluster_halfplus needs explicit coordinates")
+    require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     center, d = _halfplus_center(ps.coords, ps.weights, space, alpha, r)
     if d is None:

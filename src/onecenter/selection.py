@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .core import require_fraction
 from .errors import ArgumentError
 
 
@@ -80,10 +81,13 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
 
     Absolute-threshold variant used by the peeling solvers.  Returns
     ``inf`` when the target exceeds the total available weight, and the
-    minimum entry when the target is zero or negative.
+    minimum entry when the target is zero or negative; a NaN target is
+    an ArgumentError.
     """
     v, w = _clean(distances, weights)
     total = _total(w)
+    if math.isnan(target_weight):
+        raise ArgumentError("target_weight must not be NaN")
     if target_weight > total:
         return math.inf
     if target_weight <= 0.0:
@@ -128,6 +132,8 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
         raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
     _check_values(v, w)
     total = _total(w)
+    if math.isnan(target_weight):
+        raise ArgumentError("target_weight must not be NaN")
     if target_weight > total:
         return np.full(v.shape[0], math.inf)
     if target_weight <= 0.0:
@@ -186,8 +192,7 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
 
 def weighted_quantile_radius(distances, weights, alpha: float) -> float:
     """Smallest d such that entries <= d carry at least alpha of the weight."""
-    if not (0.0 < alpha <= 1.0):
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     v, w = _clean(distances, weights)
     total = _total(w)
     if total <= 0.0:

@@ -12,13 +12,19 @@ import math
 
 import numpy as np
 
-from .core import CandidateBall, WeightedPointSet, covered_weight, require_positive_weight, require_radius
+from .core import (
+    CandidateBall, WeightedPointSet, covered_weight, require_fraction,
+    require_pairing, require_positive_weight, require_radius,
+)
 from .errors import ArgumentError, require_int
-from .oracle import DistanceOracle
 from .selection import best_candidate
-from .spaces import NormedSpaceOps
 
 VERIFY_REL_TOL = 1e-12
+
+
+def _meets_fraction(covered: float, alpha: float, total: float, rel_tol: float = VERIFY_REL_TOL) -> bool:
+    """The verification threshold: covered >= alpha * total, less a slack of rel_tol * total."""
+    return bool(covered >= alpha * total - rel_tol * total)
 
 
 def verify_ball(
@@ -36,32 +42,15 @@ def verify_ball(
     do not flip a true result.  A NaN or infinite radius, and a
     coordinate center with a non-finite entry, are rejected.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     if not 0.0 <= radius < math.inf:
         raise ArgumentError(f"radius must be finite and nonnegative, got {radius}")
     if not 0.0 <= rel_tol < math.inf:
         raise ArgumentError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
-    if not isinstance(space, DistanceOracle) and not np.all(np.isfinite(center)):
+    if not require_pairing(ps, space) and not np.all(np.isfinite(center)):
         raise ArgumentError("center coordinates must be finite")
-    total = ps.total_weight
     covered = covered_weight(ps, space, center, radius)
-    ok = covered >= alpha * total - rel_tol * total
-    return bool(ok), float(covered)
-
-
-def _oracle_mode(ps: WeightedPointSet, space) -> bool:
-    """True for an oracle over ps's n points, False for a normed space
-    over ps's coordinates; ArgumentError for anything else."""
-    if isinstance(space, DistanceOracle):
-        if ps.n != space.size:
-            raise ArgumentError("point set and oracle sizes differ")
-        return True
-    if not isinstance(space, NormedSpaceOps):
-        raise ArgumentError("space must be a NormedSpaceOps or DistanceOracle")
-    if ps.coords is None:
-        raise ArgumentError("coordinate space requires point coordinates")
-    return False
+    return _meets_fraction(covered, alpha, ps.total_weight, rel_tol), float(covered)
 
 
 def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall:
@@ -72,12 +61,11 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
     Works with coordinate spaces and distance oracles alike; with an
     oracle this spends exactly n^2 queries plus a final sweep.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     require_positive_weight(ps)
     target = alpha * float(np.sum(ps.weights))
     n = ps.n
-    if _oracle_mode(ps, space):
+    if require_pairing(ps, space):
         idx = np.arange(n)
         best_i, best_s, _ = best_candidate(
             lambda chunk: space.dist_block(chunk, idx), idx, ps.weights, target
@@ -118,18 +106,16 @@ def las_vegas_baseline(
     weight at radius 2r; the expected attempt count is at most 1/alpha.
     Returns (ball or None, attempts made).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ArgumentError(f"alpha must be in (0, 1], got {alpha}")
+    require_fraction(alpha)
     require_radius(r)
     require_positive_weight(ps)
-    oracle_mode = _oracle_mode(ps, space)
+    oracle_mode = require_pairing(ps, space)
     seed = require_int("seed", seed, 0)
     if max_attempts is None:
         max_attempts = int(math.ceil(10.0 / alpha))
     max_attempts = require_int("max_attempts", max_attempts, 1)
     rng = np.random.default_rng(seed)
     total = ps.total_weight
-    target = alpha * total
     probs = ps.weights / total
     for attempt in range(1, max_attempts + 1):
         i = int(rng.choice(ps.n, p=probs))
@@ -140,7 +126,7 @@ def las_vegas_baseline(
             d = space.distances(ps.coords, ps.coords[i])
             center = ps.coords[i].copy()
         covered = float(np.sum(ps.weights[d <= 2.0 * r]))
-        if covered >= target - VERIFY_REL_TOL * total:
+        if _meets_fraction(covered, alpha, total):
             ball = CandidateBall(center=center, radius=2.0 * r, covered_weight=covered, center_index=i)
             return ball, attempt
     return None, max_attempts

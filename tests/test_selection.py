@@ -113,6 +113,15 @@ def test_smallest_radius_nonpositive_target_returns_min():
     assert smallest_radius_at_weight([4.0, 2.0], [1.0, 1.0], -1.0) == 2.0
 
 
+def test_a_nan_target_is_an_argument_error():
+    # both edge-case comparisons are false for NaN, which used to fall
+    # through to the row maximum
+    with pytest.raises(ArgumentError, match="NaN"):
+        smallest_radius_at_weight([1.0, 2.0], [1.0, 1.0], math.nan)
+    with pytest.raises(ArgumentError, match="NaN"):
+        select_rows([[1.0, 2.0]], [1.0, 1.0], math.nan)
+
+
 def test_selection_argument_errors():
     with pytest.raises(ArgumentError):
         weighted_median([], [])
