@@ -33,7 +33,7 @@ from .cover import (
     gap_constant,
     logtower_constant,
 )
-from .errors import ArgumentError, DegenerateInputError, OneCenterError, ParseError
+from .errors import ArgumentError, OneCenterError, ParseError
 from .formats import (
     detect_format,
     load_instance,
@@ -189,19 +189,19 @@ def _lookup(table: dict, solver: str, space: str):
 
 
 def _normed_single(solve, ps, ops, alpha: float, r: float, args):
-    """``solve`` at r; under --search-r, at r, 2r, 4r, ... until its ball verifies."""
-    if not args.search_r:
-        return (*solve(ps, ops, alpha, r, args.k), r)
+    """``solve`` at r; under --search-r, at r, 2r, 4r, ... until its ball verifies.
+
+    Returns (ball, constant, radius, verify_ball's (ok, covered) for the
+    ball, or None when there is no ball).
+    """
     radius = r
-    for _ in range(_SEARCH_R_CAP):
-        try:
-            ball, constant = solve(ps, ops, alpha, radius, args.k)
-        except DegenerateInputError:
-            ball, constant = None, None
+    for _ in range(_SEARCH_R_CAP if args.search_r else 1):
+        ball, constant = solve(ps, ops, alpha, radius, args.k)
+        check = None
         if ball is not None:
-            ok, _ = verify_ball(ps, ops, ball.center, ball.radius, alpha, rel_tol=args.verify_tol)
-            if ok:
-                return ball, constant, radius
+            check = verify_ball(ps, ops, ball.center, ball.radius, alpha, rel_tol=args.verify_tol)
+        if not args.search_r or (check is not None and check[0]):
+            return ball, constant, radius, check
         radius *= 2.0
     raise NoSolution(f"radius search gave up after {_SEARCH_R_CAP} doublings from {r}")
 
@@ -246,11 +246,11 @@ def _solve_coords(doc: dict, solver: str, ps, ops, args, inst) -> bool:
     r = _resolve_r(args, inst)
     if r is None:
         raise UsageError(f"solver {solver!r} requires --r (the assumed inlier radius)")
-    ball, constant, used_r = _normed_single(solve, ps, ops, alpha, r, args)
+    ball, constant, used_r, check = _normed_single(solve, ps, ops, alpha, r, args)
     if ball is None:
         doc.update({"r": used_r, "verified": False, "found": False})
         return False
-    ok, covered = verify_ball(ps, ops, ball.center, ball.radius, alpha, rel_tol=args.verify_tol)
+    ok, covered = check
     doc.update(_ball_fields(ball, covered, ps.total_weight))
     doc.update(r=used_r, k=args.k if solver == "logtower" else None, approx_constant=constant)
     doc.update(query_count=None, verified=bool(ok))
@@ -545,9 +545,6 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except NoSolution as exc:
         print(f"no solution: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateInputError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ParseError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -499,14 +499,15 @@ def cluster_logtower(
 ) -> Optional[CandidateBall]:
     """k-fold bucket composition over the scale-ladder base solver.
 
-    k = 0 is exactly cluster_any_alpha at fraction beta.  For k >= 1 the
-    base runs at fraction (beta/2)^(2^k)/2 and each stage squares up via
-    fraction -> sqrt(2 * fraction), finishing with a ball verified at
-    beta * w.  The approximation constant (logtower_constant) grows
-    enormously with k; what is bought is the near-linear runtime.
+    k = 0 is exactly cluster_any_alpha at fraction beta in (0, 1].  For
+    k >= 1, beta in (0, 1), the base runs at fraction (beta/2)^(2^k)/2
+    and each stage squares up via fraction -> sqrt(2 * fraction),
+    finishing with a ball verified at beta * w.  The approximation
+    constant (logtower_constant) grows enormously with k; what is bought
+    is the near-linear runtime.
     """
-    if not 0.0 < beta < 1.0:
-        raise ArgumentError(f"beta must be in (0, 1), got {beta}")
+    if not (0.0 < beta < 1.0 or (beta == 1.0 and k == 0)):
+        raise ArgumentError(f"beta must be in (0, 1), or (0, 1] at k = 0, got {beta}")
     k = require_int("k", k, 0)
     require_radius(r)
     require_pairing(ps, space, (NormedSpaceOps,))

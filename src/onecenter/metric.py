@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CandidateBall, WeightedPointSet, require_fraction, require_pairing, require_positive_weight
-from .errors import require_int
+from .errors import ArgumentError, require_int
 from .oracle import DistanceOracle
 from .selection import best_candidate
 
@@ -39,8 +39,14 @@ class MetricCover:
 
 
 def exact_ceil_root(n: int, C: int) -> int:
-    """Smallest m with m**C >= n, immune to float-power rounding."""
+    """Smallest m with m**C >= n, immune to float-power rounding.
+
+    Once 2**C >= n (C >= ceil(log2 n)) the answer is 2, or 1 at n = 1,
+    and m**C is never formed.
+    """
     n, C = require_int("n", n, 1), require_int("C", C, 1)
+    if C >= (n - 1).bit_length():
+        return min(n, 2)
     m = max(1, int(round(n ** (1.0 / C))))
     while m > 1 and (m - 1) ** C >= n:
         m -= 1
@@ -56,7 +62,14 @@ def metric_query_bound(C: int, n: int) -> float:
 
 
 def _pad_for_blocks(ps: WeightedPointSet, C: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Point and weight of each of the m**C slots, and m; slots past n alias point 0 at zero weight."""
+    """Point and weight of each of the m**C slots, and m; slots past n alias point 0 at zero weight.
+
+    C may be at most max(2, ceil(log2 n)): past ceil(log2 n) m is 2, and
+    each further level only doubles the padding.
+    """
+    top = max(2, (ps.n - 1).bit_length())
+    if C > top:
+        raise ArgumentError(f"C must be at most max(2, ceil(log2 n)) = {top} at n = {ps.n}, got {C}")
     m = exact_ceil_root(ps.n, C)
     points = np.arange(m**C)
     points[ps.n :] = 0
@@ -102,7 +115,7 @@ def metric_halfplus(
     maps slots to points, with no wrapper oracle.  The recursion visits
     m blocks per level and spends about C * m^(C+1) oracle queries.
     C = 1 is exactly the brute-force sweep over all centers (lowest
-    index wins ties).
+    index wins ties); C above max(2, ceil(log2 n)) is an ArgumentError.
     """
     require_fraction(alpha, above_half=True)
     C = require_int("C", C, 1)
@@ -195,7 +208,8 @@ def metric_cover(
     blocks at level C-1, evaluates all block candidates globally at the
     fixed threshold alpha * w_original, keeps the minimal-radius one
     (ties to the lowest point index), zeroes its ball, and repeats on
-    the remaining weight.  C = 1 makes exactly metric_quadratic's queries.
+    the remaining weight.  C = 1 makes exactly metric_quadratic's queries;
+    C is bounded as in metric_halfplus.
     """
     require_fraction(alpha)
     C = require_int("C", C, 1)

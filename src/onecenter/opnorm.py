@@ -39,39 +39,51 @@ def operator_norm(M) -> float:
     overflows or underflows.  When the all-ones vector is a top singular
     vector (to a relative 1e-9), the Rayleigh quotient |A 1| / |1|, taken
     on A / max|A| and scaled back, is returned instead: it is exactly k
-    on the all-ones matrix J_k and 1.0 on the identity.
+    on the all-ones matrix J_k and 1.0 on the identity.  This is the
+    one-matrix call of the stacked kernel ``OperatorNormSpace.norms`` uses.
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
+    return float(_operator_norms(A[None])[0])
+
+
+def _operator_norms(A: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each matrix in an (m, k, k) stack, in one SVD call.
+
+    Zero matrices, and 0 x 0 ones, give 0.0; a non-finite entry is an
+    ArgumentError.
+    """
     if not np.all(np.isfinite(A)):
         raise ArgumentError("matrix entries must be finite")
-    if not np.any(A):
-        return 0.0
-    top = float(np.linalg.svd(A, compute_uv=False)[0])
-    scale = float(np.max(np.abs(A)))
-    row_sums = (A / scale).sum(axis=1)
-    quotient = math.sqrt(float(np.sum(row_sums * row_sums)) / A.shape[0]) * scale
-    return quotient if quotient >= top * (1.0 - 1e-9) else top
+    out = np.zeros(A.shape[0])
+    nonzero = np.flatnonzero(A.any(axis=(1, 2)))
+    if nonzero.size:
+        A = A[nonzero]
+        top = np.linalg.svd(A, compute_uv=False)[:, 0]
+        scale = np.abs(A).max(axis=(1, 2))
+        row_sums = (A / scale[:, None, None]).sum(axis=2)
+        quotient = np.sqrt((row_sums * row_sums).sum(axis=1) / A.shape[1]) * scale
+        out[nonzero] = np.where(quotient >= top * (1.0 - 1e-9), quotient, top)
+    return out
 
 
 class OperatorNormSpace(NormedSpaceOps):
     """R^(k*k) viewed as k x k matrices under the operator norm.
 
-    Points are matrices flattened row-major.  Each norm evaluation is
-    one SVD, so this space is for small instances and correctness tests
-    rather than bulk workloads.
+    Points are matrices flattened row-major.  ``norms`` takes one stacked
+    SVD per batch, so each row still costs an SVD of a k x k matrix.
     """
 
     def __init__(self, k: int):
         self.k = require_int("matrix side k", k, 1)
         super().__init__(self.k * self.k)
 
-    def norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.d,):
-            raise ArgumentError(f"expected a flat vector of length {self.d}, got {v.shape}")
-        return operator_norm(v.reshape(self.k, self.k))
+    def norms(self, vs: np.ndarray) -> np.ndarray:
+        vs = np.asarray(vs, dtype=np.float64)
+        if vs.ndim != 2 or vs.shape[1] != self.d:
+            raise ArgumentError(f"expected (m, {self.d}) rows, got shape {vs.shape}")
+        return _operator_norms(vs.reshape(-1, self.k, self.k))
 
 
 def _sign_matrices_exhaustive(k: int) -> np.ndarray:
@@ -150,7 +162,7 @@ def median_counterexample_report(
         mats = _sample_sign_matrices(k, require_int("samples in sampled mode", samples, 100), seed)
         median_mat = np.ones((k, k))
         median_is_ones = True
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    norms = _operator_norms(mats)
     median_norm = operator_norm(median_mat)
     root_k = math.sqrt(k)
     quantiles = tuple((q, float(np.quantile(norms, q))) for q in REPORT_QUANTILES)

@@ -3,10 +3,11 @@
 Metric-space solvers see points only through an oracle; the query
 counter is the complexity measure those solvers are benchmarked on.
 An oracle implements one hook, ``_dist_block_impl(rows, cols)``, and
-every accessor is served by it: ``dist`` costs one query, ``dist_many``
-and ``sweep`` cost one per distance in the row, and ``dist_block`` costs
-rows * cols.  There is deliberately no global memoization: counts must
-reflect what a from-scratch run would pay.
+one accessor, ``dist_block``, checks indices and charges rows * cols
+queries; ``dist`` and ``dist_many`` are its one-row calls (one query,
+one per distance in the row), and ``sweep`` is a ``dist_many`` call.
+There is deliberately no global memoization: counts must reflect what
+a from-scratch run would pay.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class DistanceOracle(ABC):
 
     Subclasses implement only ``_dist_block_impl(rows, cols)``: handed
     range-checked one-dimensional index arrays, it returns the
-    ``len(rows) x len(cols)`` float64 distances.  Each accessor checks
-    its indices and charges one query per distance it returns.
+    ``len(rows) x len(cols)`` float64 distances.  ``dist_block`` checks
+    the indices and charges one query per distance it returns; the other
+    accessors go through it.
     """
 
     def __init__(self, size: int):
@@ -64,17 +66,11 @@ class DistanceOracle(ABC):
 
     def dist(self, i: int, j: int) -> float:
         """Distance between points i and j; costs exactly one query."""
-        rows = self._check_indices([i])
-        cols = self._check_indices([j])
-        self._bump(1)
-        return float(self._dist_block_impl(rows, cols)[0, 0])
+        return float(self.dist_block([i], [j])[0, 0])
 
     def dist_many(self, i: int, idx) -> np.ndarray:
         """Distances from i to each index in idx; costs len(idx) queries."""
-        rows = self._check_indices([i])
-        idx = self._check_indices(idx)
-        self._bump(int(idx.size))
-        return self._dist_block_impl(rows, idx)[0]
+        return self.dist_block([i], idx)[0]
 
     def dist_block(self, rows, cols) -> np.ndarray:
         """len(rows) x len(cols) distances; costs len(rows) * len(cols) queries."""

@@ -2,14 +2,15 @@
 
 Everything in this library reduces to one question: given values with
 nonnegative weights, what is the smallest value v such that the total
-weight of entries <= v reaches a target?  ``weighted_median`` and
-``weighted_quantile_radius`` are thin wrappers around that selection.
+weight of entries <= v reaches a target?  ``select_rows`` answers it for
+every row of a block; ``smallest_radius_at_weight`` is its one-row call,
+and ``weighted_median`` and ``weighted_quantile_radius`` ask it at a
+fraction of the total weight.
 
-It is answered by a numpy sort + cumsum scan, O(n log n) per row and
-fully deterministic.  The sort is numpy's default one, with each run of
-equal values put back in index order, which is exactly the stable
-permutation (``_stable_order``); ``select_rows`` scans a whole block of
-rows at once.
+It is answered by a numpy sort + cumsum scan (``_scan_rows``), O(n log n)
+per row and fully deterministic.  The sort is numpy's default one, with
+each run of equal values put back in index order, which is exactly the
+stable permutation (``_stable_order``).
 """
 
 from __future__ import annotations
@@ -27,22 +28,13 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _select_sorted(values: np.ndarray, weights: np.ndarray, target: float) -> float:
-    """Selection of one validated row: ``_scan_rows`` on one row.
-
-    Preconditions (checked by the public wrappers): nonempty, finite,
-    weights >= 0, 0 < target <= total weight.
-    """
-    return float(_scan_rows(values[None, :], weights, target)[0])
-
-
-def _clean(values, weights) -> tuple[np.ndarray, np.ndarray]:
+def _one_row(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The values as a one-row block, and the weights; both must be 1-D."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if v.ndim != 1 or w.ndim != 1:
         raise ArgumentError("values and weights must be one-dimensional")
-    _check_values(v, w)
-    return v, w
+    return v[None, :], w
 
 
 def _check_values(v: np.ndarray, w: np.ndarray) -> None:
@@ -70,11 +62,24 @@ def weighted_median(values, weights) -> float:
 
     With uniform weights this is the classical lower median.
     """
-    v, w = _clean(values, weights)
+    return _select_fraction(values, weights, 0.5)
+
+
+def weighted_quantile_radius(distances, weights, alpha: float) -> float:
+    """Smallest d such that entries <= d carry at least alpha of the weight."""
+    require_fraction(alpha)
+    return _select_fraction(distances, weights, alpha)
+
+
+def _select_fraction(values, weights, fraction: float) -> float:
+    """Selection at ``fraction`` of the total weight, which must be positive."""
+    v, w = _one_row(values, weights)
+    _check_values(v, w)
     total = _total(w)
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
-    return _select_sorted(v, w, 0.5 * total)
+    return float(_scan_rows(v, w, fraction * total)[0])
+
 
 def smallest_radius_at_weight(distances, weights, target_weight: float) -> float:
     """Smallest d with total weight of entries <= d reaching ``target_weight``.
@@ -82,17 +87,10 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
     Absolute-threshold variant used by the peeling solvers.  Returns
     ``inf`` when the target exceeds the total available weight, and the
     minimum entry when the target is zero or negative; a NaN target is
-    an ArgumentError.
+    an ArgumentError.  It is the one-row ``select_rows`` call.
     """
-    v, w = _clean(distances, weights)
-    total = _total(w)
-    if math.isnan(target_weight):
-        raise ArgumentError("target_weight must not be NaN")
-    if target_weight > total:
-        return math.inf
-    if target_weight <= 0.0:
-        return float(np.min(v))
-    return _select_sorted(v, w, float(target_weight))
+    v, w = _one_row(distances, weights)
+    return float(select_rows(v, w, target_weight)[0])
 
 
 def _stable_order(v: np.ndarray) -> np.ndarray:
@@ -188,14 +186,3 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
         if s < best_s or chunk[k] < best_i:
             best_i, best_s, best_row = int(chunk[k]), s, block[k]
     return best_i, best_s, best_row
-
-
-def weighted_quantile_radius(distances, weights, alpha: float) -> float:
-    """Smallest d such that entries <= d carry at least alpha of the weight."""
-    require_fraction(alpha)
-    v, w = _clean(distances, weights)
-    total = _total(w)
-    if total <= 0.0:
-        raise ArgumentError("total weight must be positive")
-    target = alpha * total
-    return _select_sorted(v, w, target)

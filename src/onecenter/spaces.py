@@ -18,20 +18,23 @@ class NormedSpaceOps(ABC):
     """Norm plus the linear operations solvers need.
 
     Addition, subtraction, and scaling are plain numpy arithmetic;
-    subclasses supply the norm.  ``norms`` is the batched primitive
-    (row-wise norm of an (m, d) array); the default loops over rows, and
-    vector subclasses should vectorize it.
+    subclasses supply the norm as one batched primitive, ``norms`` (the
+    row-wise norm of an (m, d) array).  ``norm`` and ``distances`` are
+    served by it.
     """
 
     def __init__(self, d: int):
         self.d = require_int("dimension", d, 1)
 
     @abstractmethod
-    def norm(self, v: np.ndarray) -> float: ...
+    def norms(self, vs: np.ndarray) -> np.ndarray: ...
 
-    def norms(self, vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.float64)
-        return np.array([self.norm(row) for row in vs], dtype=np.float64)
+    def norm(self, v: np.ndarray) -> float:
+        """Norm of one vector: the one-row ``norms`` call."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.d,):
+            raise ArgumentError(f"expected a vector of length {self.d}, got shape {v.shape}")
+        return float(self.norms(v[None, :])[0])
 
     def distances(self, points: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Distance from every row of points to center: one ``norms`` call."""
@@ -71,12 +74,6 @@ class LpSpace(NormedSpaceOps):
 
     def _lp_rows(self, vs: np.ndarray) -> np.ndarray:
         return (np.abs(vs) ** self.p).sum(axis=1) ** (1.0 / self.p)
-
-    def norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.d,):
-            raise ArgumentError(f"expected a vector of length {self.d}, got shape {v.shape}")
-        return float(self._rows(v[None, :])[0])
 
     def norms(self, vs: np.ndarray) -> np.ndarray:
         if type(vs) is not np.ndarray or vs.dtype is not _F64:

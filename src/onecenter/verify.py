@@ -64,28 +64,18 @@ def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall
     require_fraction(alpha)
     require_positive_weight(ps)
     target = alpha * float(np.sum(ps.weights))
-    n = ps.n
-    if require_pairing(ps, space):
-        idx = np.arange(n)
-        best_i, best_s, _ = best_candidate(
-            lambda chunk: space.dist_block(chunk, idx), idx, ps.weights, target
-        )
-        d = space.dist_many(best_i, idx)
-        covered = float(np.sum(ps.weights[d <= best_s]))
-        return CandidateBall(center=int(best_i), radius=float(best_s), covered_weight=covered, center_index=int(best_i))
+    idx = np.arange(ps.n)
+    oracle_mode = require_pairing(ps, space)
 
     def rows(chunk):
+        if oracle_mode:
+            return space.dist_block(chunk, idx)
         return np.stack([space.distances(ps.coords, ps.coords[i]) for i in chunk])
 
-    best_i, best_s, _ = best_candidate(rows, np.arange(n), ps.weights, target)
-    d = space.distances(ps.coords, ps.coords[best_i])
-    covered = float(np.sum(ps.weights[d <= best_s]))
-    return CandidateBall(
-        center=ps.coords[best_i].copy(),
-        radius=float(best_s),
-        covered_weight=covered,
-        center_index=int(best_i),
-    )
+    best_i, best_s, _ = best_candidate(rows, idx, ps.weights, target)
+    center = best_i if oracle_mode else ps.coords[best_i].copy()
+    covered = covered_weight(ps, space, center, best_s)
+    return CandidateBall(center=center, radius=float(best_s), covered_weight=covered, center_index=best_i)
 
 
 def las_vegas_baseline(
@@ -119,13 +109,8 @@ def las_vegas_baseline(
     probs = ps.weights / total
     for attempt in range(1, max_attempts + 1):
         i = int(rng.choice(ps.n, p=probs))
-        if oracle_mode:
-            d = space.dist_many(i, np.arange(ps.n))
-            center = i
-        else:
-            d = space.distances(ps.coords, ps.coords[i])
-            center = ps.coords[i].copy()
-        covered = float(np.sum(ps.weights[d <= 2.0 * r]))
+        center = i if oracle_mode else ps.coords[i].copy()
+        covered = covered_weight(ps, space, center, 2.0 * r)
         if _meets_fraction(covered, alpha, total):
             ball = CandidateBall(center=center, radius=2.0 * r, covered_weight=covered, center_index=i)
             return ball, attempt

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from onecenter import ArgumentError, las_vegas_baseline
+from onecenter import ArgumentError, las_vegas_baseline, verify_ball
 from onecenter.cli import METRIC_SOLVERS, NORMED_SOLVERS, main
 from onecenter.formats import save_instance, write_matrix, write_points_csv
 from onecenter.generate import generate_planted
@@ -271,6 +271,50 @@ def test_search_r_doubles_until_verified(lp_csv, capsys):
     assert doc["verified"] is True
     assert doc["r"] >= 0.015625
     assert doc["radius"] == halfplus_constant(0.75) * doc["r"]
+
+
+def test_search_r_verifies_each_ball_once(lp_csv, capsys, monkeypatch):
+    from onecenter import cli
+
+    path, _ = lp_csv
+    calls = []
+
+    def counting_verify_ball(*args, **kwargs):
+        calls.append(args[3])
+        return verify_ball(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_ball", counting_verify_ball)
+    code, doc, _ = run_cli(
+        [
+            "solve", "--input", path, "--solver", "halfplus", "--alpha", "0.75",
+            "--r", "0.015625", "--search-r",
+        ],
+        capsys,
+    )
+    assert code == 0 and doc["verified"] is True
+    # one check per radius tried, the last of them the reported ball's
+    assert len(calls) == len(set(calls)) >= 1
+    assert calls[-1] == doc["radius"]
+
+
+@pytest.mark.parametrize(
+    "argv, top, n",
+    [
+        (["solve", "--solver", "halfplus", "--C", "8"], 7, 90),
+        (["solve", "--solver", "halfplus", "--C", "64"], 7, 90),
+        (["cover", "--C", "8"], 7, 90),
+        (["cover", "--C", "64"], 7, 90),
+        (["bench", "--sizes", "16,32,64,128", "--C", "64"], 4, 16),
+    ],
+)
+def test_metric_depth_past_the_padding_is_a_usage_error(metric_matrix, capsys, argv, top, n):
+    # C may be at most max(2, ceil(log2 n)); the matrix file has n = 90
+    if argv[0] != "bench":
+        argv = argv + ["--input", metric_matrix[0], "--alpha", "0.75"]
+    code, doc, err = run_cli(argv, capsys)
+    assert code == 1 and doc is None
+    assert err.startswith("error: C must be at most")
+    assert f"= {top} at n = {n}, got {argv[argv.index('--C') + 1]}" in err
 
 
 def test_bench_rejects_short_grid(capsys):

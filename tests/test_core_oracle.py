@@ -3,6 +3,7 @@ the one rule for integer arguments."""
 
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
@@ -386,3 +387,41 @@ def test_triangle_violation_pinned_cases():
         assert _triangle_violation(m).hex() == _triangle_violation_per_k(m).hex()
     assert _triangle_violation(metric) <= MatrixOracle.TRIANGLE_TOL
     assert _triangle_violation(bad) > 2.0
+
+
+def test_dist_dist_many_and_sweep_are_one_row_dist_block_calls():
+    idx = [8, 0, 3, 3, 5]
+    for oracle in _block_oracles():
+        for i in range(9):
+            for j in (0, 4, 8):
+                before = oracle.query_count
+                got = oracle.dist(i, j)
+                assert oracle.query_count - before == 1
+                assert got.hex() == float(oracle.dist_block([i], [j])[0, 0]).hex()
+            before = oracle.query_count
+            row = oracle.dist_many(i, idx)
+            assert oracle.query_count - before == len(idx)
+            assert row.tobytes() == oracle.dist_block([i], idx)[0].tobytes()
+            before = oracle.query_count
+            row = oracle.sweep(i)
+            assert oracle.query_count - before == 9
+            assert row.tobytes() == oracle.dist_block([i], np.arange(9))[0].tobytes()
+        if isinstance(oracle, TallyOracle):
+            assert oracle.tally == oracle.query_count
+
+
+def test_scalar_accessors_raise_dist_blocks_errors():
+    oracle = MatrixOracle(random_metric_matrix(np.random.default_rng(4), 5))
+    cases = [
+        (lambda: oracle.dist(0, 5), lambda: oracle.dist_block([0], [5])),
+        (lambda: oracle.dist(-1, 0), lambda: oracle.dist_block([-1], [0])),
+        (lambda: oracle.dist(0.5, 1), lambda: oracle.dist_block([0.5], [1])),
+        (lambda: oracle.dist_many(0, [[0, 1]]), lambda: oracle.dist_block([0], [[0, 1]])),
+        (lambda: oracle.dist_many(0, [1.0]), lambda: oracle.dist_block([0], [1.0])),
+    ]
+    for scalar, block in cases:
+        with pytest.raises(ArgumentError) as want:
+            block()
+        with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+            scalar()
+    assert oracle.query_count == 0

@@ -294,6 +294,20 @@ def test_logtower_k0_equals_any_alpha():
     assert a.covered_weight == b.covered_weight
 
 
+def test_logtower_k0_accepts_beta_one_as_any_alpha_does():
+    inst = generate_planted("lp", n=120, d=3, alpha=0.9, r=1.0, seed=6, outlier_frac=0.0)
+    space = inst.space_ops()
+    a = cluster_logtower(inst.ps, space, 1.0, 0, 4.0)
+    b = cluster_any_alpha(inst.ps, space, 1.0, 4.0)
+    assert a is not None and b is not None
+    assert a.center.tobytes() == b.center.tobytes()
+    assert a.radius.hex() == b.radius.hex()
+    assert a.covered_weight.hex() == b.covered_weight.hex() == inst.ps.total_weight.hex()
+    assert logtower_constant(1.0, 0) == any_alpha_constant(1.0)
+    with pytest.raises(ArgumentError, match="beta"):
+        cluster_logtower(inst.ps, space, 1.0, 1, 4.0)
+
+
 def test_logtower_single_stage_on_planted_instance():
     inst = generate_planted("lp", n=2048, d=3, alpha=0.6, r=1.0, seed=10)
     space = inst.space_ops()

@@ -37,6 +37,27 @@ def test_exact_ceil_root_dodges_float_traps():
         for C in (1, 2, 3, 5):
             m = exact_ceil_root(n, C)
             assert (m - 1) ** C < n <= m**C
+    # 2 once 2**C reaches n, without forming m**C
+    assert exact_ceil_root(40, 6) == 2 == exact_ceil_root(40, 64)
+    assert exact_ceil_root(40, 5) == 3
+    assert exact_ceil_root(2, 10**6) == 2
+    assert exact_ceil_root(1, 10**6) == 1
+    assert exact_ceil_root(2**62 + 1, 63) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 64, 65])
+def test_metric_depth_is_bounded_by_the_padding(n):
+    # past ceil(log2 n) blocks are pairs, and another level only doubles the slots
+    top = max(2, (n - 1).bit_length())
+    oracle = MatrixOracle(random_metric_matrix(np.random.default_rng(n), n))
+    ps = WeightedPointSet.indexed(n)
+    for C in (top, 1):
+        assert 0 <= metric_halfplus(ps, oracle, 0.6, C).center_index < n
+        assert len(metric_cover(ps, oracle, 0.4, C).centers) >= 1
+    for C in (top + 1, 64):
+        for solve in (lambda: metric_halfplus(ps, oracle, 0.6, C), lambda: metric_cover(ps, oracle, 0.4, C)):
+            with pytest.raises(ArgumentError, match=rf"C must be at most .* = {top} at n = {n}, got {C}"):
+                solve()
 
 
 def test_collinear_example_ties_to_lowest_index():

@@ -165,3 +165,61 @@ def test_solvers_cover_the_inliers_on_the_operator_norm_space(solver, alpha, sca
     ok, covered = verify_ball(ps, space, ball.center, ball.radius, alpha)
     assert ok
     assert covered == 45.0
+
+
+def _per_row_operator_norm(A):
+    """``operator_norm`` as it was computed one matrix at a time."""
+    A = np.asarray(A, dtype=np.float64)
+    if not np.any(A):
+        return 0.0
+    top = float(np.linalg.svd(A, compute_uv=False)[0])
+    scale = float(np.max(np.abs(A)))
+    row_sums = (A / scale).sum(axis=1)
+    quotient = math.sqrt(float(np.sum(row_sums * row_sums)) / A.shape[0]) * scale
+    return quotient if quotient >= top * (1.0 - 1e-9) else top
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_stacked_norms_equal_the_per_row_formula_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    m = 300
+    families = [
+        rng.normal(size=(m, k * k)),
+        np.where(rng.random((m, k * k)) < 0.5, 1.0, -1.0),
+        np.ones((m, k * k)) * rng.normal(size=(m, 1)),
+        np.zeros((m, k * k)),
+    ]
+    families += [f * 2.0**e for e in (-600, 600) for f in families[:3]]
+    mixed = np.vstack(families)
+    rng.shuffle(mixed)
+    space = OperatorNormSpace(k)
+    for X in families + [mixed]:
+        want = [_per_row_operator_norm(row.reshape(k, k)).hex() for row in X]
+        assert [float(x).hex() for x in space.norms(X)] == want
+        assert [operator_norm(row.reshape(k, k)).hex() for row in X[:20]] == want[:20]
+
+
+def test_operator_norms_edge_batches():
+    space = OperatorNormSpace(3)
+    empty = space.norms(np.zeros((0, 9)))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    assert space.norms(np.zeros((2, 9))).tolist() == [0.0, 0.0]
+    bad = np.ones((3, 9))
+    bad[1, 4] = np.nan
+    with pytest.raises(ArgumentError, match="finite"):
+        space.norms(bad)
+    with pytest.raises(ArgumentError, match="finite"):
+        operator_norm([[1.0, math.inf], [0.0, 1.0]])
+    with pytest.raises(ArgumentError):
+        space.norms(np.ones((2, 8)))
+    assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_k2_study_measures_members_with_operator_norm():
+    # the +-1 matrices with singular values (sqrt 2, sqrt 2) take the
+    # Rayleigh quotient, which rounds to fl(sqrt 2) exactly
+    report = median_counterexample_report(2, mode="exhaustive")
+    assert dict(report.member_quantiles)[0.1] == math.sqrt(2.0)
+    assert dict(report.member_quantiles)[0.5] == math.sqrt(2.0)
+    members = _sign_matrices_exhaustive(2)
+    assert report.member_max == max(operator_norm(M) for M in members)

@@ -16,7 +16,7 @@ from onecenter import (
     weighted_quantile_radius,
 )
 from onecenter import selection
-from onecenter.selection import _select_sorted, best_candidate
+from onecenter.selection import best_candidate
 
 from conftest import scan_select
 
@@ -347,10 +347,16 @@ def _selection_cases(draw):
 
 @given(_selection_cases())
 @settings(max_examples=300, deadline=None)
-def test_select_sorted_equals_stable_argsort_scan_bit_for_bit(case):
+def test_smallest_radius_at_weight_equals_stable_argsort_scan_bit_for_bit(case):
     values, weights, target = case
+    # a "prefix" target is a sequential running sum, which can round above
+    # np.sum's pairwise total; the public function answers inf there
+    if target > float(np.sum(weights)):
+        expected = math.inf
+    else:
+        expected = _stable_argsort_select(values, weights, target)
     # float.hex tells -0.0 from 0.0
-    assert _select_sorted(values, weights, target).hex() == _stable_argsort_select(values, weights, target).hex()
+    assert smallest_radius_at_weight(values, weights, target).hex() == expected.hex()
 
 
 @pytest.mark.parametrize(
@@ -365,13 +371,13 @@ def test_select_sorted_equals_stable_argsort_scan_bit_for_bit(case):
         ([2.0, 2.0, 1.0] * 5, [0.1] * 15, float(np.sum([0.1] * 15))),
     ],
 )
-def test_select_sorted_pinned_to_stable_argsort_scan(values, weights, target):
+def test_smallest_radius_at_weight_pinned_to_stable_argsort_scan(values, weights, target):
     values, weights = np.array(values), np.array(weights)
-    assert _select_sorted(values, weights, target).hex() == _stable_argsort_select(values, weights, target).hex()
+    assert smallest_radius_at_weight(values, weights, target).hex() == _stable_argsort_select(values, weights, target).hex()
 
 
-def test_select_sorted_last_index_fallback_is_reached():
+def test_smallest_radius_at_weight_last_index_fallback_is_reached():
     values, weights = np.arange(10.0)[::-1].copy(), np.full(10, 0.1)
     total = float(np.sum(weights))
     assert np.cumsum(weights)[-1] < total
-    assert _select_sorted(values, weights, total) == 9.0 == _stable_argsort_select(values, weights, total)
+    assert smallest_radius_at_weight(values, weights, total) == 9.0 == _stable_argsort_select(values, weights, total)

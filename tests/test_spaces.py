@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onecenter import ArgumentError, LpSpace
+from onecenter import ArgumentError, LpSpace, NormedSpaceOps, OperatorNormSpace
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -104,3 +104,20 @@ def test_wrong_dimensions_raise_argument_error(p):
     with pytest.raises(ArgumentError):
         space.distances(np.ones(2), [1.0, 2.0])
     assert space.norms(np.empty((0, 2))).shape == (0,)
+
+
+def test_norms_is_the_one_abstract_method():
+    assert NormedSpaceOps.__abstractmethods__ == frozenset({"norms"})
+
+
+@pytest.mark.parametrize("space", [LpSpace(p, 4) for p in (1.0, 2.0, 3.0, math.inf)]
+                         + [OperatorNormSpace(k) for k in (1, 2, 3, 5)], ids=repr)
+def test_norm_is_the_one_row_norms_call_bit_for_bit(space):
+    rng = np.random.default_rng(17)
+    rows = [rng.normal(size=space.d) * 2.0**e for e in (-600, -40, 0, 7, 600)]
+    rows += [np.zeros(space.d), np.ones(space.d), np.where(rng.random(space.d) < 0.5, 1.0, -1.0)]
+    with np.errstate(over="ignore"):  # l_p rows at 2^600 overflow to inf alike
+        for v in rows:
+            assert space.norm(v).hex() == float(space.norms(v[None, :])[0]).hex()
+    with pytest.raises(ArgumentError, match="vector of length"):
+        space.norm(np.zeros(space.d + 1))
