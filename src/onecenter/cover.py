@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
-    CandidateBall, WeightedPointSet, require_fraction, require_pairing,
+    CandidateBall, WeightedPointSet, covered_weight, require_fraction, require_pairing,
     require_positive_weight, require_radius,
 )
 from .errors import ArgumentError, UnsupportedFractionError, require_int
@@ -346,7 +346,7 @@ def cluster_any_alpha(
         R = base**s * r
         for z in _below_half_centers(points, weights, space, beta, R, 0, memo):
             radius = vf * R
-            covered = float(np.sum(ps.weights[space.distances(ps.coords, z) <= radius]))
+            covered = covered_weight(ps, space, z, radius)
             if covered >= alpha * w:
                 return CandidateBall(center=z, radius=radius, covered_weight=covered)
     return None
@@ -450,7 +450,7 @@ def bucket_reduce(
     threshold = alpha_out * ps.total_weight
     for ball in finalists.balls:
         center = np.asarray(ball.center, dtype=np.float64)
-        covered = float(np.sum(ps.weights[space.distances(ps.coords, center) <= out_radius]))
+        covered = covered_weight(ps, space, center, out_radius)
         if covered >= threshold:
             return CandidateBall(center=center, radius=out_radius, covered_weight=covered)
     return None

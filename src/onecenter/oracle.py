@@ -84,16 +84,32 @@ class DistanceOracle(ABC):
         return self.dist_many(i, np.arange(self._size))
 
 
-_SYMMETRY_TILE = 256
+_TILE = 256
 
 
-def _is_symmetric(m: np.ndarray) -> bool:
-    # tile against mirrored tile, so the transposed reads stay in cache
+def _passes_shape_checks(m: np.ndarray) -> bool:
+    """True when m is finite, nonnegative, zero on the diagonal and symmetric.
+
+    One tiled pass over the tile pairs i <= j, after the diagonal: each
+    upper tile must lie in [0, inf) (NaN fails both bounds) and equal its
+    mirrored tile, transposed.  Equality carries the bounds over to the
+    lower tile.  The mirrored tile is first copied, row by row, into one
+    tile-sized buffer, whose transposed reads then stay in cache; no
+    n x n temporary is made.
+    """
+    if np.any(np.diagonal(m) != 0):
+        return False
     n = m.shape[0]
-    b = _SYMMETRY_TILE
+    b = _TILE
+    buf = np.empty((b, b))
     for i in range(0, n, b):
         for j in range(i, n, b):
-            if not np.array_equal(m[i : i + b, j : j + b], m[j : j + b, i : i + b].T):
+            upper = m[i : i + b, j : j + b]
+            if not (upper.min() >= 0 and upper.max() < np.inf):
+                return False
+            lower = buf[: upper.shape[1], : upper.shape[0]]
+            np.copyto(lower, m[j : j + b, i : i + b])
+            if not np.array_equal(upper, lower.T):
                 return False
     return True
 
@@ -122,7 +138,8 @@ class MatrixOracle(DistanceOracle):
     """Oracle backed by an explicit n x n distance matrix.
 
     Validation requires a finite, nonnegative matrix with a zero
-    diagonal that is symmetric, checked in that order.  The
+    diagonal that is symmetric, all read in one tiled pass; the error
+    names the first failed check in that order.  The
     triangle-inequality check (tolerance 1e-9) runs last, when
     ``validate='full'``, or under ``'auto'`` only for n <= 512; it is one
     O(n^3) min-plus pass over the pairs i < j, which relies on the
@@ -145,13 +162,14 @@ class MatrixOracle(DistanceOracle):
         if validate not in ("auto", "full", "none"):
             raise ArgumentError("validate must be 'auto', 'full', or 'none'")
         if validate != "none":
-            if not np.all(np.isfinite(matrix)):
-                raise ArgumentError("distance matrix must be finite")
-            if np.any(matrix < 0):
-                raise ArgumentError("distances must be nonnegative")
-            if np.any(np.diagonal(matrix) != 0):
-                raise ArgumentError("distance matrix diagonal must be zero")
-            if not _is_symmetric(matrix):
+            if not _passes_shape_checks(matrix):
+                # the ordered checks, run only to name the first defect
+                if not np.all(np.isfinite(matrix)):
+                    raise ArgumentError("distance matrix must be finite")
+                if np.any(matrix < 0):
+                    raise ArgumentError("distances must be nonnegative")
+                if np.any(np.diagonal(matrix) != 0):
+                    raise ArgumentError("distance matrix diagonal must be zero")
                 raise ArgumentError("distance matrix must be symmetric")
             if validate == "full" or matrix.shape[0] <= self.AUTO_TRIANGLE_LIMIT:
                 worst = _triangle_violation(matrix)

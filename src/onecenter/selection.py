@@ -8,8 +8,8 @@ and ``weighted_median`` and ``weighted_quantile_radius`` ask it at a
 fraction of the total weight.
 
 It is answered by a numpy sort + cumsum scan (``_scan_rows``), O(n log n)
-per row and fully deterministic.  The sort is numpy's default one, with
-each run of equal values put back in index order, which is exactly the
+per row and fully deterministic.  The sort is one in-place integer sort
+of keys that pack each value's bits with its index, which is exactly the
 stable permutation (``_stable_order``).
 """
 
@@ -96,23 +96,52 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
 def _stable_order(v: np.ndarray) -> np.ndarray:
     """``np.argsort(v, axis=1, kind="stable")``, computed faster.
 
-    The default sort is several times faster than the stable one but may
-    order equal values arbitrarily; putting each run of equal values back
-    in index order yields exactly the stable permutation.
+    Each value becomes one int64 key: its bits, with the low 63 flipped
+    for negatives so that integer order is float order (``+ 0.0`` first
+    turns -0.0 into 0.0), the low k bits then replaced by the column
+    index, where k is the fewest bits that hold every index.  The keys
+    are unique, so any sort of them gives one permutation, and it is the
+    stable one wherever the truncated keys keep values apart.  Values
+    whose keys differ only in the low k bits sort by index instead; a
+    group of such keys that holds an inversion is re-sorted by value
+    (``_repair_groups``).
     """
-    order = np.argsort(v, axis=1)
-    ranked = np.take_along_axis(v, order, axis=1)
-    starts = ranked[:, 1:] != ranked[:, :-1]
-    if starts.all():
-        return order
-    # sorting within a run leaves each position's run number unchanged
-    group = np.zeros(v.shape, dtype=np.intp)
-    np.cumsum(starts, axis=1, out=group[:, 1:])
-    group *= v.shape[1]
-    key = group + order
-    key.sort(axis=1, kind="stable")  # runs are few; nearly sorted input
-    key -= group
+    c = v.shape[1]
+    k = (c - 1).bit_length()
+    low = (1 << k) - 1
+    key = (v + 0.0).view(np.int64)
+    flip = key >> 63  # all ones for negative values, else zero
+    flip &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+    key ^= flip
+    key &= ~low
+    key |= np.arange(c)
+    key.sort(axis=1)
+    # adjacent keys equal above the low k bits may be out of value order
+    same = (key[:, 1:] ^ key[:, :-1]).view(np.uint64) <= low
+    key &= low
+    if same.any():
+        rows, cols = np.nonzero(same)
+        bad = v[rows, key[rows, cols]] > v[rows, key[rows, cols + 1]]
+        if bad.any():
+            _repair_groups(v, key, same, rows[bad], cols[bad])
     return key
+
+
+def _repair_groups(v, order, same, rows, cols) -> None:
+    """Re-sort, in place, each group of ``order`` that holds an inversion.
+
+    A group is a run of positions joined by ``same``; within it the
+    order is by index.  Each inverted pair (row, col) names the group
+    holding positions col and col + 1, and a stable sort of that group's
+    values keeps equal values in index order.
+    """
+    c = order.shape[1]
+    for row in np.unique(rows):
+        starts = np.flatnonzero(~same[row]) + 1
+        bounds = np.concatenate(([0], starts, [c]))
+        for g in np.unique(np.searchsorted(starts, cols[rows == row], side="right")):
+            seg = order[row, bounds[g] : bounds[g + 1]]
+            seg[:] = seg[np.argsort(v[row, seg], kind="stable")]
 
 
 def select_rows(distances, weights, target_weight: float) -> np.ndarray:

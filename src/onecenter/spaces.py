@@ -87,8 +87,25 @@ def _l1_rows(vs: np.ndarray) -> np.ndarray:
     return np.abs(vs).sum(axis=1)
 
 
+# rows per step of ``_l2_rows``; batches of at most one block, the many
+# small ones of the normed recursions, keep the single expression
+_L2_BLOCK = 4096
+
+
 def _l2_rows(vs: np.ndarray) -> np.ndarray:
-    return np.sqrt((vs * vs).sum(axis=1))
+    m = vs.shape[0]
+    if m <= _L2_BLOCK or not vs.flags.c_contiguous:
+        return np.sqrt((vs * vs).sum(axis=1))
+    # the same squares and row sums, through one reused block buffer in
+    # place of an m x d array of squares; a C-ordered buffer sums each
+    # row as ``vs * vs`` of a C-ordered vs does, so the bits agree
+    out = np.empty(m)
+    buf = np.empty((_L2_BLOCK, vs.shape[1]))
+    for lo in range(0, m, _L2_BLOCK):
+        rows = vs[lo : lo + _L2_BLOCK]
+        sq = np.multiply(rows, rows, out=buf[: rows.shape[0]])
+        sq.sum(axis=1, out=out[lo : lo + rows.shape[0]])
+    return np.sqrt(out, out=out)
 
 
 def _linf_rows(vs: np.ndarray) -> np.ndarray:

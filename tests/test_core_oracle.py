@@ -4,6 +4,7 @@ the one rule for integer arguments."""
 import concurrent.futures
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,24 +192,24 @@ def test_matrix_oracle_leaves_the_callers_array_writable():
 
 
 def test_matrix_oracle_rejections():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="square"):
         MatrixOracle(np.zeros((2, 3)))
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="nonnegative"):
         MatrixOracle([[0.0, -1.0], [-1.0, 0.0]])
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="diagonal"):
         MatrixOracle([[0.5, 1.0], [1.0, 0.0]])
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="symmetric"):
         MatrixOracle([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="finite"):
         MatrixOracle([[0.0, np.inf], [np.inf, 0.0]])
     bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="triangle"):
         MatrixOracle(bad, validate="full")
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="triangle"):
         MatrixOracle(bad)  # auto still checks triangles at this size
     # explicit opt-out skips metric validation entirely
     assert MatrixOracle(bad, validate="none").dist(0, 2) == 5.0
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="validate"):
         MatrixOracle(bad, validate="everything")
 
 
@@ -319,6 +320,52 @@ def test_matrix_oracle_rejects_asymmetry_in_a_single_tile(i, j):
     m[i, j] = np.nextafter(m[i, j], np.inf)
     with pytest.raises(ArgumentError, match="symmetric"):
         MatrixOracle(m)
+
+
+def _with(m, *cells):
+    m = m.copy()
+    for i, j, x in cells:
+        m[i, j] = x
+    return m
+
+
+_ASYM = (20, 300, 7.0)  # m[300, 20] keeps its value
+
+
+# several defects at once: the first in the order finite, nonnegative,
+# diagonal, symmetric names the error, wherever the tile pass meets them
+@pytest.mark.parametrize("cells, message", [
+    ([(400, 10, np.nan), _ASYM], "distance matrix must be finite"),
+    ([_ASYM, (590, 3, np.inf)], "distance matrix must be finite"),
+    ([(400, 10, -1.0)], "distances must be nonnegative"),
+    ([_ASYM, (599, 598, -0.5), (598, 599, -0.5)], "distances must be nonnegative"),
+    ([(5, 5, 1.0), _ASYM], "distance matrix diagonal must be zero"),
+    ([(599, 599, np.nan), (1, 2, -1.0)], "distance matrix must be finite"),
+    ([(300, 599, 1.0), _ASYM], "distance matrix must be symmetric"),
+])
+def test_matrix_oracle_names_the_first_of_several_defects(cells, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        MatrixOracle(_with(_symmetric_600(), *cells))
+
+
+def test_matrix_oracle_accepts_negative_zero():
+    # -0.0 == 0.0: neither negative nor asymmetric, on or off the diagonal
+    m = _with(_symmetric_600(), (400, 10, -0.0), (10, 400, 0.0), (7, 7, -0.0))
+    assert MatrixOracle(m).dist(400, 10) == 0.0
+    assert MatrixOracle([[0.0, -0.0], [0.0, -0.0]], validate="full").size == 2
+
+
+def test_matrix_oracle_accepts_without_an_n_by_n_temporary():
+    n = 2000
+    x = np.random.default_rng(5).normal(size=n)
+    m = np.abs(np.subtract.outer(x, x))  # a line metric; n > 512 skips the triangle check
+    tracemalloc.start()
+    try:
+        MatrixOracle(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 4  # an n x n bool mask alone is n * n bytes
 
 
 def _triangle_violation_per_k(m):

@@ -230,6 +230,64 @@ def test_stable_order_equals_a_stable_argsort():
         assert np.array_equal(selection._stable_order(block), np.argsort(block, axis=1, kind="stable"))
 
 
+_U = 2.0**-52  # one ulp of 1.0
+
+
+def _order_family(name, rng, rows, cols):
+    if name == "uniform":
+        return rng.random((rows, cols))
+    if name == "small integers":
+        return rng.integers(-3, 4, size=(rows, cols)).astype(float)
+    if name == "signed zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=(rows, cols))
+    if name == "subnormals":
+        return rng.choice([5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, 0.0, -0.0], size=(rows, cols))
+    if name == "extremes":
+        return rng.choice([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0],
+                          size=(rows, cols))
+    if name == "all equal":
+        return np.full((rows, cols), rng.normal())
+    # near-ties: a few values, each moved by up to 2^-40 of itself, so
+    # that values differing only in the bits the index replaces meet
+    base = rng.normal(size=3) * 2.0 ** rng.integers(-20, 20, size=3)
+    return rng.choice(base, size=(rows, cols)) * (1.0 + rng.integers(0, 1 << 12, size=(rows, cols)) * _U)
+
+
+_FAMILIES = ["uniform", "small integers", "signed zeros", "subnormals", "extremes", "all equal", "near-ties"]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_stable_order_equals_a_stable_argsort_on_every_family(family, monkeypatch):
+    # lengths 1, 2, 2^k and 2^k + 1: where the index takes one bit more
+    repairs = []
+    repair = selection._repair_groups
+    monkeypatch.setattr(selection, "_repair_groups", lambda *a: (repairs.append(a), repair(*a)))
+    rng = np.random.default_rng(_FAMILIES.index(family))
+    for cols in (1, 2, 3, 4, 5, 8, 9, 64, 65, 4096, 4097):
+        for _ in range(3):
+            block = _order_family(family, rng, 4, cols)
+            want = np.argsort(block, axis=1, kind="stable")
+            assert np.array_equal(selection._stable_order(block), want), (family, cols)
+    if family == "near-ties":
+        assert repairs
+
+
+def test_stable_order_repairs_a_group_whose_index_bits_invert_value_order(monkeypatch):
+    # with 8 columns the index fills the low 3 bits, so 1 + 5u and 1 + 3u
+    # get one truncated key, 1.0's, and sort by index: an inversion
+    row = np.array([[1 + 5 * _U, 1 + 3 * _U, 1.0, 2.0, 1 + 3 * _U, 0.5, 1 + 5 * _U, 1 + 4 * _U]])
+    block = np.vstack([row, row[:, ::-1], np.arange(8.0)[None, :]])
+    repairs = []
+    repair = selection._repair_groups
+    monkeypatch.setattr(selection, "_repair_groups", lambda *a: (repairs.append(a), repair(*a)))
+    assert np.array_equal(selection._stable_order(block), np.argsort(block, axis=1, kind="stable"))
+    assert len(repairs) == 1
+    assert set(repairs[0][3].tolist()) == {0, 1}  # rows of the inverted pairs; row 2 is clean
+    repairs.clear()
+    assert np.array_equal(selection._stable_order(block[2:]), [np.arange(8)])
+    assert repairs == []
+
+
 def test_select_rows_edge_cases():
     block = np.array([[4.0, 2.0, 7.0], [1.0, 1.0, 0.5]])
     w = np.ones(3)

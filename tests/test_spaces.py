@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onecenter import ArgumentError, LpSpace, NormedSpaceOps, OperatorNormSpace
+from onecenter import ArgumentError, LpSpace, NormedSpaceOps, OperatorNormSpace, spaces
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -82,6 +82,23 @@ def test_overflowing_rows_give_the_same_inf(p):
     if 2.0 <= p < math.inf:  # 1e200 squared or cubed overflows
         assert got[0] == math.inf
     assert got[3].hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", [1, 3, 8, 9])
+def test_l2_rows_blocked_past_one_block_equal_the_formula_bit_for_bit(layout, d):
+    # batches longer than one block are squared and summed block by
+    # block; F-ordered rows sum in another order, so they must not be
+    block = spaces._L2_BLOCK
+    rng = np.random.default_rng(d)
+    space = _CountingLp(2.0, d)
+    for m in (1, block - 1, block, block + 1, 3 * block + 5):
+        x = rng.normal(size=(2 * m, d)) * 2.0 ** rng.integers(-30, 30, size=(2 * m, d))
+        rows = {"C": x[:m], "F": np.asfortranarray(x[:m]), "strided": x[::2]}[layout]
+        center = rng.normal(size=d)
+        assert _hex(space.norms(rows)) == _hex(_abs_norms(2.0, rows))
+        assert _hex(space.distances(rows, center)) == _hex(_abs_norms(2.0, rows - center))
+        assert space.batches[-2:] == [m, m]
 
 
 @pytest.mark.parametrize("p", P_VALUES)
