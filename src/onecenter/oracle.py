@@ -85,17 +85,21 @@ class DistanceOracle(ABC):
 
 
 _TILE = 256
+_INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # the bits of +inf
 
 
 def _passes_shape_checks(m: np.ndarray) -> bool:
     """True when m is finite, nonnegative, zero on the diagonal and symmetric.
 
     One tiled pass over the tile pairs i <= j, after the diagonal: each
-    upper tile must lie in [0, inf) (NaN fails both bounds) and equal its
-    mirrored tile, transposed.  Equality carries the bounds over to the
-    lower tile.  The mirrored tile is first copied, row by row, into one
-    tile-sized buffer, whose transposed reads then stay in cache; no
-    n x n temporary is made.
+    upper tile must lie in [0, inf) and equal its mirrored tile,
+    transposed; equality carries the range over to the lower tile.  The
+    range is one integer maximum: read as uint64, the floats in
+    [+0.0, inf) are exactly those below the bits of inf.  Only a tile it
+    flags (inf, NaN, a negative or -0.0) is bounded again as floats,
+    where NaN fails both bounds and -0.0 passes.  The mirrored tile is
+    first copied, row by row, into one tile-sized buffer, whose
+    transposed reads then stay in cache; no n x n temporary is made.
     """
     if np.any(np.diagonal(m) != 0):
         return False
@@ -105,7 +109,8 @@ def _passes_shape_checks(m: np.ndarray) -> bool:
     for i in range(0, n, b):
         for j in range(i, n, b):
             upper = m[i : i + b, j : j + b]
-            if not (upper.min() >= 0 and upper.max() < np.inf):
+            in_range = upper.view(np.uint64).max() < _INF_BITS or (upper.min() >= 0 and upper.max() < np.inf)
+            if not in_range:
                 return False
             lower = buf[: upper.shape[1], : upper.shape[0]]
             np.copyto(lower, m[j : j + b, i : i + b])

@@ -37,24 +37,39 @@ def _one_row(values, weights) -> tuple[np.ndarray, np.ndarray]:
     return v[None, :], w
 
 
-def _check_values(v: np.ndarray, w: np.ndarray) -> None:
+def _as_block(distances, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The distances as a 2-D float64 block and the weights as a 1-D vector."""
+    v = np.ascontiguousarray(distances, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if v.ndim != 2 or w.ndim != 1:
+        raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
+    return v, w
+
+
+def _check_block(v: np.ndarray, w: np.ndarray) -> None:
     # v is one row or a block of rows, each as long as w
     if v.shape[-1] != w.shape[0]:
         raise ArgumentError("values and weights differ in length")
     if v.shape[-1] == 0:
         raise ArgumentError("empty input")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ArgumentError("values must be finite")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+
+
+def _checked_total(w: np.ndarray) -> float:
+    """Sum of the weights, which must be finite and nonnegative; finite
+    weights may still overflow the sum, which is an error too."""
+    if not np.isfinite(w).all() or (w < 0).any():
         raise ArgumentError("weights must be finite and nonnegative")
-
-
-def _total(w: np.ndarray) -> float:
-    """Sum of checked weights; finite weights may still overflow it."""
-    total = float(np.sum(w))
+    total = float(w.sum())
     if not math.isfinite(total):
         raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
     return total
+
+
+def _check_target(target_weight: float) -> None:
+    if math.isnan(target_weight):
+        raise ArgumentError("target_weight must not be NaN")
 
 
 def weighted_median(values, weights) -> float:
@@ -74,8 +89,8 @@ def weighted_quantile_radius(distances, weights, alpha: float) -> float:
 def _select_fraction(values, weights, fraction: float) -> float:
     """Selection at ``fraction`` of the total weight, which must be positive."""
     v, w = _one_row(values, weights)
-    _check_values(v, w)
-    total = _total(w)
+    _check_block(v, w)
+    total = _checked_total(w)
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
     return float(_scan_rows(v, w, fraction * total)[0])
@@ -98,21 +113,24 @@ def _stable_order(v: np.ndarray) -> np.ndarray:
 
     Each value becomes one int64 key: its bits, with the low 63 flipped
     for negatives so that integer order is float order (``+ 0.0`` first
-    turns -0.0 into 0.0), the low k bits then replaced by the column
-    index, where k is the fewest bits that hold every index.  The keys
-    are unique, so any sort of them gives one permutation, and it is the
-    stable one wherever the truncated keys keep values apart.  Values
-    whose keys differ only in the low k bits sort by index instead; a
-    group of such keys that holds an inversion is re-sorted by value
+    turns -0.0 into 0.0; with no negative value there is nothing to
+    flip), the low k bits then replaced by the column index, where k is
+    the fewest bits that hold every index.  The keys are unique, so any
+    sort of them gives one permutation, and it is the stable one
+    wherever the truncated keys keep values apart.  Values whose keys
+    differ only in the low k bits sort by index instead; each adjacent
+    such pair is compared by value through flat gathers, and a group of
+    them that holds an inversion is re-sorted by value
     (``_repair_groups``).
     """
     c = v.shape[1]
     k = (c - 1).bit_length()
     low = (1 << k) - 1
     key = (v + 0.0).view(np.int64)
-    flip = key >> 63  # all ones for negative values, else zero
-    flip &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
-    key ^= flip
+    if key.size and key.min() < 0:
+        flip = key >> 63  # all ones for negative values, else zero
+        flip &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+        key ^= flip
     key &= ~low
     key |= np.arange(c)
     key.sort(axis=1)
@@ -120,10 +138,14 @@ def _stable_order(v: np.ndarray) -> np.ndarray:
     same = (key[:, 1:] ^ key[:, :-1]).view(np.uint64) <= low
     key &= low
     if same.any():
-        rows, cols = np.nonzero(same)
-        bad = v[rows, key[rows, cols]] > v[rows, key[rows, cols + 1]]
+        pairs = np.flatnonzero(same)
+        rows = pairs // (c - 1)
+        at = pairs + rows  # flat position in key of each pair's first entry
+        base = rows * c
+        flat_key, flat_v = key.reshape(-1), v.reshape(-1)
+        bad = flat_v[flat_key[at] + base] > flat_v[flat_key[at + 1] + base]
         if bad.any():
-            _repair_groups(v, key, same, rows[bad], cols[bad])
+            _repair_groups(v, key, same, rows[bad], (at - base)[bad])
     return key
 
 
@@ -151,16 +173,17 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     target_weight)`` bit for bit, including the ``inf`` and row-minimum
     edge cases.  The block and the weights are validated once, with the
     same errors as the scalar function, and ``_scan_rows`` sorts and
-    scans the whole block along axis 1.
+    scans the whole block along axis 1.  ``best_candidate`` needs only
+    the smallest of these radii, so it skips a row whose weight at or
+    below a known radius, summed in any order, falls short of the target
+    by more than 4 (c + 1) eps total (c columns): that sum and the
+    running sum here each round by at most (c - 1) eps / 2 of the total,
+    so no skipped row has a radius at or below the known one.
     """
-    v = np.ascontiguousarray(distances, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    if v.ndim != 2 or w.ndim != 1:
-        raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
-    _check_values(v, w)
-    total = _total(w)
-    if math.isnan(target_weight):
-        raise ArgumentError("target_weight must not be NaN")
+    v, w = _as_block(distances, weights)
+    _check_block(v, w)
+    total = _checked_total(w)
+    _check_target(target_weight)
     if target_weight > total:
         return np.full(v.shape[0], math.inf)
     if target_weight <= 0.0:
@@ -173,20 +196,57 @@ def _scan_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
 
     Each row is taken in stable order, its weights are summed in that
     order, and the value at the first index whose running sum reaches
-    the target is returned.
+    the target is returned; a row whose running sum falls short returns
+    its last value in stable order, the largest.  Zero-weight columns
+    are left out of the sort and the sum: a stable order restricted to
+    a subset is that subset's stable order, ``x + 0.0 == x``, and a
+    target above zero is first reached at a positive weight, so every
+    row that reaches it picks the same entry.
     """
-    order = _stable_order(v)
-    reached = np.cumsum(w[order], axis=1) >= target
-    # first index whose cumsum reaches the target; the last one when
-    # rounding leaves the whole row short (cumsums never decrease)
-    pick = np.where(reached[:, -1], np.argmax(reached, axis=1), v.shape[1] - 1)
+    if w.min() > 0.0:
+        kept, wk = v, w
+    else:
+        cols = np.flatnonzero(w > 0.0)
+        kept, wk = v[:, cols], w[cols]
+    order = _stable_order(kept)
+    reached = np.cumsum(wk[order], axis=1) >= target
     rows = np.arange(v.shape[0])
-    return v[rows, order[rows, pick]]
+    out = kept[rows, order[rows, reached.argmax(axis=1)]]
+    if not reached[:, -1].all():  # rounding left some whole row short
+        short = ~reached[:, -1]
+        out[short] = _stable_max(v[short])
+    return out
+
+
+def _stable_max(v: np.ndarray) -> np.ndarray:
+    """Each row's last value in stable order: its maximum, taken at the
+    highest index holding it (which tells 0.0 from -0.0)."""
+    flipped = v[:, ::-1]
+    last = v.shape[1] - 1 - np.argmax(flipped == flipped.max(axis=1)[:, None], axis=1)
+    return v[np.arange(v.shape[0]), last]
+
+
+def _slack(c: int, total: float) -> float:
+    """Rounding allowance of the bound test in ``_near_rows``.
+
+    A sum of up to c nonnegative weights, in any order, is within
+    (c - 1) eps / 2 of the exact total of its terms, so within that of
+    the exact total weight.  The test's sum, a row's running sum and the
+    rounded total each take one such error; 4 (c + 1) eps total covers
+    all three with room to spare.
+    """
+    return 4.0 * (c + 1) * np.finfo(np.float64).eps * total
 
 
 # Element budget of one candidate block in ``best_candidate``: a few MB
-# of distances, argsort indices and cumsums, whatever n is.
+# of distances, sort keys and running sums, whatever n is.
 BLOCK_ELEMS = 1 << 18
+
+# Blocks narrower than this are scored whole: on them the probe and the
+# bound test cost about as much as the sorts they save.
+_PRUNE_MIN_COLS = 1024
+# About this many positive-weight columns are sampled to pick the probe.
+_PROBE_COLS = 512
 
 
 def best_candidate(fetch, candidates, weights, target_weight: float):
@@ -194,24 +254,71 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
 
     ``fetch(chunk)`` returns the ``len(chunk) x len(weights)`` distance
     rows of the candidate indices in ``chunk``; candidates are fetched in
-    chunks of at most ``BLOCK_ELEMS`` elements and scored with
-    ``select_rows``.  Ties go to the lowest candidate index, whatever the
-    order of ``candidates``.  Returns ``(index, radius, row)``, or
-    ``(-1, inf, None)`` when there are no candidates or every radius is
-    ``inf``.
+    chunks of at most ``BLOCK_ELEMS`` elements.  Every block is checked
+    as ``select_rows`` checks it, and the weights and the target once,
+    on the first chunk, with the same errors in the same order.  Ties go
+    to the lowest candidate index, whatever the order of ``candidates``.
+    Returns ``(index, radius, row)``, with ``row`` the candidate's full
+    fetched row, or ``(-1, inf, None)`` when there are no candidates or
+    every radius is ``inf``; all of it equals scoring every row with
+    ``select_rows``, bit for bit, and ``radius`` is the winner's own.
+
+    Only rows that can change the answer are scored exactly
+    (``_near_rows``).  A row's radius is at most a bound b only if the
+    weight of its entries <= b, summed in any order, is at least the
+    target less 4 (c + 1) eps total (c columns, ``_slack``): the
+    running sum that reaches the target at that radius and this sum each
+    round by at most (c - 1) eps / 2 of the total.  Rows failing the
+    test are skipped, so every row that could win or tie is scored.
     """
     cand = np.asarray(candidates, dtype=np.intp).reshape(-1)
     step = max(1, BLOCK_ELEMS // max(1, len(weights)))
     best_i, best_s, best_row = -1, math.inf, None
+    total = None
     for lo in range(0, cand.size, step):
         chunk = cand[lo : lo + step]
-        block = fetch(chunk)
-        radii = select_rows(block, weights, target_weight)
-        s = float(np.min(radii))
-        if s == math.inf or s > best_s:
+        v, w = _as_block(fetch(chunk), weights)
+        _check_block(v, w)
+        if total is None:
+            total = _checked_total(w)
+            _check_target(target_weight)
+            target = float(target_weight)
+        if target > total:
+            continue  # every radius is inf; later blocks are still fetched and checked
+        if target <= 0.0:
+            rows, radii = np.arange(v.shape[0]), np.min(v, axis=1)
+        else:
+            rows = _near_rows(v, w, target, total, best_s)
+            radii = _scan_rows(v if rows.size == v.shape[0] else v[rows], w, target)
+        if radii.size == 0:
             continue
-        tied = np.flatnonzero(radii == s)
-        k = int(tied[np.argmin(chunk[tied])])
-        if s < best_s or chunk[k] < best_i:
-            best_i, best_s, best_row = int(chunk[k]), s, block[k]
+        tied = np.flatnonzero(radii == radii.min())
+        j = tied[np.argmin(chunk[rows[tied]])]
+        k, s = int(rows[j]), float(radii[j])
+        if s < best_s or (s == best_s and chunk[k] < best_i):
+            best_i, best_s, best_row = int(chunk[k]), s, v[k]
     return best_i, best_s, best_row
+
+
+def _near_rows(v: np.ndarray, w: np.ndarray, target: float, total: float, bound: float) -> np.ndarray:
+    """Indices of the rows of v whose radius may be at most ``bound``.
+
+    They include every row whose radius is at most ``bound``, and so
+    every row holding the smallest radius in v when that is at most
+    ``bound``.  With no bound yet (``inf``) one probe row is scored
+    exactly and sets it: the row whose unweighted quantile, at the
+    target's share of the total over a sample of the positive-weight
+    columns, is smallest.  Which row that is changes only the time.
+    Narrow blocks, and one-row blocks with no bound, are taken whole.
+    """
+    n, c = v.shape
+    if c < _PRUNE_MIN_COLS or (n < 2 and bound == math.inf):
+        return np.arange(n)
+    if bound == math.inf:
+        cols = np.flatnonzero(w > 0.0)
+        cols = cols[:: max(1, cols.size // _PROBE_COLS)]
+        rank = min(cols.size - 1, int(cols.size * target / total))
+        probe = int(np.argmin(np.partition(v[:, cols], rank, axis=1)[:, rank]))
+        bound = float(_scan_rows(v[probe : probe + 1], w, target)[0])
+    held = (v <= bound) @ w
+    return np.flatnonzero(held >= target - _slack(c, total))

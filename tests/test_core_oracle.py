@@ -29,7 +29,7 @@ from onecenter import (
     metric_halfplus,
     metric_query_bound,
 )
-from onecenter.oracle import _triangle_violation
+from onecenter.oracle import _INF_BITS, _triangle_violation
 
 from conftest import TallyOracle, random_metric_matrix
 
@@ -353,6 +353,28 @@ def test_matrix_oracle_accepts_negative_zero():
     m = _with(_symmetric_600(), (400, 10, -0.0), (10, 400, 0.0), (7, 7, -0.0))
     assert MatrixOracle(m).dist(400, 10) == 0.0
     assert MatrixOracle([[0.0, -0.0], [0.0, -0.0]], validate="full").size == 2
+
+
+def test_matrix_oracle_accepts_an_upper_tile_flagged_only_by_negative_zero():
+    # -0.0 has the sign bit set, so the tile's integer bound flags it and
+    # the float bounds, which accept it, decide
+    m = _with(_symmetric_600(), (10, 400, -0.0), (400, 10, 0.0), (300, 520, -0.0), (520, 300, -0.0))
+    assert m[:256, 256:512].view(np.uint64).max() >= _INF_BITS
+    assert m[256:512, 512:].view(np.uint64).max() >= _INF_BITS
+    assert MatrixOracle(m).dist(10, 400) == 0.0
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.inf, "distance matrix must be finite"),
+    (np.nan, "distance matrix must be finite"),
+    (-1.0, "distances must be nonnegative"),
+    (-5e-324, "distances must be nonnegative"),
+])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_matrix_oracle_names_a_defect_in_an_upper_tile(x, message, mirrored):
+    cells = [(10, 400, x), (300, 520, -0.0)] + ([(400, 10, x)] if mirrored else [])
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        MatrixOracle(_with(_symmetric_600(), *cells))
 
 
 def test_matrix_oracle_accepts_without_an_n_by_n_temporary():

@@ -272,6 +272,29 @@ def test_stable_order_equals_a_stable_argsort_on_every_family(family, monkeypatc
         assert repairs
 
 
+def _padded_aliases(rng, rows, cols):
+    # as in a padded metric block: the last 96 columns alias column 0
+    block = rng.random((rows, cols + 96))
+    block[:, cols:] = block[:, :1]
+    return block
+
+
+@pytest.mark.parametrize("family", ["no negatives", "exactly one negative", "96 padded aliases"])
+def test_stable_order_on_sign_and_alias_families(family):
+    rng = np.random.default_rng(3)
+    for cols in (1, 2, 63, 64, 65, 4000):
+        for _ in range(3):
+            if family == "no negatives":
+                block = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(4, cols)) * rng.integers(1, 3, size=(4, cols))
+            elif family == "exactly one negative":
+                block = rng.choice([0.0, -0.0, 1.0, 3.0], size=(4, cols))
+                block.flat[int(rng.integers(block.size))] = -float(rng.choice([0.5, 1.0, 5e-324]))
+            else:
+                block = _padded_aliases(rng, 4, cols)
+            want = np.argsort(block, axis=1, kind="stable")
+            assert np.array_equal(selection._stable_order(block), want), (family, cols)
+
+
 def test_stable_order_repairs_a_group_whose_index_bits_invert_value_order(monkeypatch):
     # with 8 columns the index fills the low 3 bits, so 1 + 5u and 1 + 3u
     # get one truncated key, 1.0's, and sort by index: an inversion
@@ -323,10 +346,10 @@ def test_select_rows_argument_errors():
             select_rows(block, w, 1.0)
 
 
-def _best_by_loop(block, candidates, weights, target):
+def _best_by_loop(block, candidates, weights, target, radius=smallest_radius_at_weight):
     best_i, best_s = -1, math.inf
     for c in candidates:
-        s = smallest_radius_at_weight(block[c], weights, target)
+        s = radius(block[c], weights, target)
         if s < best_s or (s == best_s and c < best_i):
             best_i, best_s = c, s
     return best_i, best_s
@@ -361,6 +384,117 @@ def test_best_candidate_without_a_finite_radius_has_no_winner():
     block = np.zeros((3, 3))
     assert best_candidate(lambda c: block[c], [2, 0, 1], np.ones(3), 4.0) == (-1, math.inf, None)
     assert best_candidate(lambda c: block[c], [], np.ones(3), 1.0) == (-1, math.inf, None)
+
+
+def _reference_radius(values, weights, target):
+    """The row's radius by a plain stable argsort and scan, sharing no
+    code with the library's path."""
+    if target > float(np.sum(weights)):
+        return math.inf
+    if target <= 0.0:
+        return float(np.min(values))
+    return _stable_argsort_select(values, weights, target)
+
+
+def _wide_case(family, rng):
+    """A block wide enough to prune, its weights with zero-weight
+    columns, and a target."""
+    rows, cols = int(rng.integers(8, 40)), int(rng.integers(40, 160))
+    block = rng.random((rows, cols)) * 10.0
+    weights = rng.choice([0.5, 1.0, 2.0], size=cols)
+    weights[rng.random(cols) < 0.2] = 0.0
+    weights[0] = 1.0
+    if family == "near-ties":
+        # rows a few ulps apart, and tenths whose running sums round, so
+        # held weights land inside the slack; a few far rows get pruned
+        base = np.round(rng.random(cols) * 4.0, 1)
+        block = base + rng.integers(0, 3, size=(rows, cols)) * np.spacing(base + 1.0)
+        block[rng.random(rows) < 0.3] += 5.0
+        weights = np.where(weights > 0.0, 0.1, 0.0)
+        prefix = np.cumsum(weights[np.argsort(block[0], kind="stable")])
+        target = float(rng.choice(prefix[prefix > 0.0]))
+        return block, weights, float(np.nextafter(target, rng.choice([0.0, np.inf])))
+    if family == "tiny weights":
+        weights = np.where(weights > 0.0, 10.0 ** rng.uniform(-16.0, 0.0, size=cols), 0.0)
+    elif family == "one positive weight":
+        weights = np.zeros(cols)
+        weights[int(rng.integers(cols))] = float(rng.choice([1e-300, 0.1, 3.0]))
+    elif family == "rounds short":
+        # the running sum may end below np.sum's total: those rows
+        # return their whole row's largest value
+        weights = np.where(weights > 0.0, 0.1, 0.0)
+        return block, weights, float(np.sum(weights))
+    elif family == "target edges":
+        total = float(np.sum(weights))
+        return block, weights, float(rng.choice([0.0, -1.0, np.nextafter(total, np.inf), total + 1.0]))
+    return block, weights, float(np.sum(weights) * rng.uniform(0.05, 1.0))
+
+
+_WIDE_FAMILIES = ["uniform", "near-ties", "tiny weights", "one positive weight", "rounds short", "target edges"]
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 160, 1 << 18])
+@pytest.mark.parametrize("family", _WIDE_FAMILIES)
+def test_best_candidate_equals_the_loop_bit_for_bit_on_wide_blocks(family, budget, monkeypatch):
+    monkeypatch.setattr(selection, "BLOCK_ELEMS", budget)
+    monkeypatch.setattr(selection, "_PRUNE_MIN_COLS", 32)
+    pruned, compacted = [], []
+    near_rows, stable_order = selection._near_rows, selection._stable_order
+
+    def near_rows_spy(v, *args):
+        rows = near_rows(v, *args)
+        pruned.append(rows.size < v.shape[0])
+        return rows
+
+    def stable_order_spy(v):
+        compacted.append(v.shape[1] < len(weights))
+        return stable_order(v)
+
+    monkeypatch.setattr(selection, "_near_rows", near_rows_spy)
+    monkeypatch.setattr(selection, "_stable_order", stable_order_spy)
+    rng = np.random.default_rng(_WIDE_FAMILIES.index(family))
+    for _ in range(25):
+        block, weights, target = _wide_case(family, rng)
+        candidates = rng.permutation(block.shape[0])[: int(rng.integers(1, block.shape[0] + 1))]
+        i, s, row = best_candidate(lambda chunk: block[chunk], candidates, weights, target)
+        want_i, want_s = _best_by_loop(block, candidates, weights, target, radius=_reference_radius)
+        assert (i, s.hex()) == (want_i, float(want_s).hex())
+        if i < 0:
+            assert row is None
+        else:
+            assert np.array_equal(row, block[i])
+    if family != "target edges":
+        assert any(pruned) and any(compacted)
+
+
+def test_best_candidate_validates_as_select_rows_does_and_only_once(monkeypatch):
+    monkeypatch.setattr(selection, "BLOCK_ELEMS", 4)  # one two-column row per chunk
+    good = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    late_nan = good.copy()
+    late_nan[2, 1] = math.nan
+    cases = [
+        (np.array([[math.nan, 1.0]] * 3), [1.0, -1.0], 1.0),  # values before weights
+        (good, [1.0, -1.0], math.nan),  # weights before the target
+        (good, [1e308, 1e308], 1.0),  # a total that overflows
+        (good, [1.0, 1.0], math.nan),
+        (late_nan, [1.0, 1.0], 1.0),  # a defect in a later chunk only
+        (good[:, :1], [1.0, 1.0], 1.0),
+    ]
+    for block, weights, target in cases:
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArgumentError) as want:
+                select_rows(block, weights, target)
+            with pytest.raises(ArgumentError) as got:
+                best_candidate(lambda chunk: block[chunk], [0, 1, 2], weights, target)
+        assert str(got.value) == str(want.value)
+    checked = []
+    total = selection._checked_total
+    monkeypatch.setattr(selection, "_checked_total", lambda w: (checked.append(1), total(w))[1])
+    assert best_candidate(lambda chunk: good[chunk], [2, 0, 1], [1.0, 1.0], 1.0)[:2] == (0, 1.0)
+    assert len(checked) == 1
+    # with no candidates nothing is fetched or checked
+    assert best_candidate(lambda chunk: 1 / 0, [], [-1.0], math.nan) == (-1, math.inf, None)
+    assert len(checked) == 1
 
 
 def _stable_argsort_select(values, weights, target):
