@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import ArgumentError, UnsupportedFractionError, require_int
 from .normed import _halfplus_center
-from .spaces import NormedSpaceOps
+from .spaces import NormedSpaceOps, _pair_gaps
 
 # ---------------------------------------------------------------------------
 # constant bookkeeping (kept as tiny functions so tests can pin them down)
@@ -197,7 +197,7 @@ def _below_half_centers(
     # power-of-two length; weights may contain zeros.  memo belongs to
     # the top-level call and caches what depends only on the block:
     # distance rows under (lo, n, center bytes), first-level pair norms
-    # under (lo, n).  Every miss goes through space.distances/norms.
+    # under (lo, n).  Every miss goes through space.distances or _pair_gaps.
     # A generator: each center is computed only when the consumer asks
     # for it, in the same order as a full list would hold them, so a
     # consumer that stops early skips the rest (the right child, the
@@ -239,7 +239,7 @@ def _below_half_centers(
         fraction = (bw + y) / (2.0 * bw)
         gaps = memo.get((lo, n))
         if gaps is None:
-            gaps = memo[(lo, n)] = space.norms(points[0::2] - points[1::2])
+            gaps = memo[(lo, n)] = _pair_gaps(space, points)
         u, du = _halfplus_center(
             points, np.where(near, weights, 0.0), space, fraction, r, dist, gaps
         )

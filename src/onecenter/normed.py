@@ -22,7 +22,7 @@ from .core import (
     require_positive_weight, require_radius,
 )
 from .errors import ArgumentError, DegenerateInputError
-from .spaces import NormedSpaceOps
+from .spaces import NormedSpaceOps, _pair_gaps
 
 
 def halfplus_constant(alpha: float) -> float:
@@ -58,8 +58,8 @@ def _pair_reduce_arrays(
     r: float,
     gaps: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # gaps, when given, is space.norms(points[0::2] - points[1::2]) for
-    # an even-length points
+    # gaps, when given, is _pair_gaps(space, points) for an even-length
+    # points
     n = points.shape[0]
     if n % 2 == 1:
         # pad with a zero-weight copy of the first point
@@ -70,7 +70,7 @@ def _pair_reduce_arrays(
     wa = weights[0::2]
     wb = weights[1::2]
     if gaps is None:
-        gaps = space.norms(a - b)
+        gaps = _pair_gaps(space, points)
     close = gaps <= 2.0 * r
     v = np.where(close, wa + wb, np.abs(wa - wb))
     # heavier member survives; ties keep the earlier point

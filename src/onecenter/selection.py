@@ -10,7 +10,10 @@ fraction of the total weight.
 It is answered by a numpy sort + cumsum scan (``_scan_rows``), O(n log n)
 per row and fully deterministic.  The sort is one in-place integer sort
 of keys that pack each value's bits with its index, which is exactly the
-stable permutation (``_stable_order``).
+stable permutation (``_stable_order``).  A row of at least 2^15
+positive-weight columns sorts only a band of it, bracketed from a fixed
+sample; the band's answer is kept only when a rounding test proves it
+is the full scan's, else the row is scanned whole (``_bracket_rows``).
 """
 
 from __future__ import annotations
@@ -173,7 +176,9 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     target_weight)`` bit for bit, including the ``inf`` and row-minimum
     edge cases.  The block and the weights are validated once, with the
     same errors as the scalar function, and ``_scan_rows`` sorts and
-    scans the whole block along axis 1.  ``best_candidate`` needs only
+    scans the whole block along axis 1 (a row of at least 2^15
+    positive-weight columns only the band of it that a checked bracket
+    leaves, with the same answer).  ``best_candidate`` needs only
     the smallest of these radii, so it skips a row whose weight at or
     below a known radius, summed in any order, falls short of the target
     by more than 4 (c + 1) eps total (c columns): that sum and the
@@ -201,20 +206,90 @@ def _scan_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
     are left out of the sort and the sum: a stable order restricted to
     a subset is that subset's stable order, ``x + 0.0 == x``, and a
     target above zero is first reached at a positive weight, so every
-    row that reaches it picks the same entry.
+    row that reaches it picks the same entry.  Rows of at least
+    ``_BRACKET_MIN_COLS`` positive-weight columns are first tried inside
+    a bracket (``_bracket_rows``), which picks the same entry or hands
+    the row back to the full sort and scan (``_sort_scan``).
     """
     if w.min() > 0.0:
         kept, wk = v, w
     else:
         cols = np.flatnonzero(w > 0.0)
         kept, wk = v[:, cols], w[cols]
+    if kept.shape[1] < _BRACKET_MIN_COLS:
+        return _sort_scan(v, kept, wk, target)
+    out = _bracket_rows(kept, wk, target)
+    missed = np.isnan(out)
+    if missed.any():
+        out[missed] = _sort_scan(v[missed], kept[missed], wk, target)
+    return out
+
+
+def _sort_scan(v: np.ndarray, kept: np.ndarray, wk: np.ndarray, target: float) -> np.ndarray:
+    """``_scan_rows`` by one stable order of each whole row: ``kept`` and
+    ``wk`` are the positive-weight columns of v and their weights."""
     order = _stable_order(kept)
     reached = np.cumsum(wk[order], axis=1) >= target
-    rows = np.arange(v.shape[0])
+    rows = np.arange(kept.shape[0])
     out = kept[rows, order[rows, reached.argmax(axis=1)]]
     if not reached[:, -1].all():  # rounding left some whole row short
         short = ~reached[:, -1]
         out[short] = _stable_max(v[short])
+    return out
+
+
+# Rows with at least this many positive-weight columns go through
+# ``_bracket_rows``.  Measured on a 2-core x86 host, one row of normal
+# values, bracket against full scan: 0.51 against 0.39 ms at 2^14
+# columns, 0.72 against 0.79 ms at 2^15, 1.17 against 1.67 ms at 2^16,
+# 2.8 against 6.3 ms at 2 * 10^5.
+_BRACKET_MIN_COLS = 1 << 15
+# The bracket's sample is every (cols >> _SAMPLE_SHIFT)-th column:
+# between 2^13 and 2^14 values of a row at least 2^15 wide.
+_SAMPLE_SHIFT = 13
+
+
+def _bracket_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
+    """``_sort_scan`` of each row of v, or NaN where the bracket cannot
+    vouch for the answer; every weight in w is positive.
+
+    The bracket [lo, hi] is read off a fixed strided sample of the row:
+    its weighted quantiles at target/total -+ 4/sqrt(sample size), or
+    -inf and inf where those fractions leave (0, 1).  No randomness is
+    involved.  One pass sums, in any order, the weight of the entries
+    < lo; only the band lo <= x <= hi is put in stable order, and its
+    running sum starts from that weight.  Every entry < lo precedes the
+    band in stable order, so the band's entry k is the full scan's pick
+    when the band's running sum is below target - slack before it and
+    at least target + slack with it: that running sum and the full
+    scan's each round by less than ``_slack``.  A row that fails the
+    test, or whose band never reaches target + slack, is NaN.
+    """
+    n, c = v.shape
+    total = float(w.sum())
+    slack = _slack(c, total)
+    out = np.full(n, math.nan)
+    if target + slack >= total:
+        return out  # no band's running sum gets past the total by the slack
+    step = c >> _SAMPLE_SHIFT
+    sample_w = w[::step]
+    frac = target / total
+    half = 4.0 / math.sqrt(sample_w.size)
+    for i, row in enumerate(v):
+        sample = row[::step]
+        order = _stable_order(sample[None, :])[0]
+        cum = np.cumsum(sample_w[order])
+        at = np.searchsorted(cum, np.array([frac - half, frac + half]) * cum[-1])
+        lo = sample[order[at[0]]] if frac > half else -math.inf
+        hi = sample[order[at[1]]] if frac + half < 1.0 else math.inf
+        below = float((row < lo) @ w)
+        band = np.flatnonzero((row >= lo) & (row <= hi))
+        band_v = row[band]
+        band_order = _stable_order(band_v[None, :])[0]
+        run = np.cumsum(np.concatenate(([below], w[band[band_order]])))
+        k = int(np.searchsorted(run, target + slack))
+        if 0 < k < run.size and run[k - 1] < target - slack:
+            out[i] = band_v[band_order[k - 1]]
     return out
 
 
@@ -227,7 +302,8 @@ def _stable_max(v: np.ndarray) -> np.ndarray:
 
 
 def _slack(c: int, total: float) -> float:
-    """Rounding allowance of the bound test in ``_near_rows``.
+    """Rounding allowance of the bound test in ``_near_rows`` and of the
+    bracket test in ``_bracket_rows``.
 
     A sum of up to c nonnegative weights, in any order, is within
     (c - 1) eps / 2 of the exact total of its terms, so within that of

@@ -1,4 +1,11 @@
-"""Normed vector spaces the coordinate solvers run in."""
+"""Normed vector spaces the coordinate solvers run in.
+
+A space supplies one batched primitive, ``norms``.  Distances from many
+points to one center, and the gaps of consecutive point pairs, are the
+norms of row differences: a C-ordered batch longer than one block
+(``_BLOCK`` rows) is subtracted block by block into one reused buffer
+and each block handed to ``norms``, so no m x d difference is built.
+"""
 
 from __future__ import annotations
 
@@ -37,7 +44,13 @@ class NormedSpaceOps(ABC):
         return float(self.norms(v[None, :])[0])
 
     def distances(self, points: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Distance from every row of points to center: one ``norms`` call."""
+        """Distance from every row of points to center, through ``norms``.
+
+        A C-contiguous points of more than ``_BLOCK`` rows is handed to
+        ``norms`` in blocks of at most ``_BLOCK`` rows (``_diff_norms``);
+        any other points, ``points - center`` in one call.  Either way
+        ``norms`` sees every row once.
+        """
         if type(points) is not np.ndarray or points.dtype is not _F64:
             points = np.asarray(points, dtype=np.float64)
         if type(center) is not np.ndarray or center.dtype is not _F64:
@@ -47,7 +60,41 @@ class NormedSpaceOps(ABC):
                 f"expected (m, {self.d}) points and a center of length {self.d}, "
                 f"got {points.shape} and {center.shape}"
             )
-        return self.norms(points - center)
+        return _diff_norms(self.norms, points, center, points.flags.c_contiguous)
+
+
+# rows per ``norms`` call of ``_diff_norms``; batches of at most one
+# block, the many small ones of the normed recursions, keep the single
+# expression
+_BLOCK = 4096
+
+
+def _diff_norms(norms, a: np.ndarray, b: np.ndarray, c_ordered: bool) -> np.ndarray:
+    """``norms(a - b)`` for (m, d) rows a and b, or a center b.
+
+    When ``a - b`` comes out C-ordered (``c_ordered``) and m is more than
+    one block, each block of it is written into one reused C-ordered
+    buffer and handed to ``norms``, which must not keep it.  A row
+    reduces the same way in a C-ordered block as in a C-ordered m x d
+    array, so the bits agree with the single call.
+    """
+    m = a.shape[0]
+    if m <= _BLOCK or not c_ordered:
+        return norms(a - b)
+    out = np.empty(m)
+    buf = np.empty((_BLOCK, a.shape[1]))
+    for lo in range(0, m, _BLOCK):
+        rows = a[lo : lo + _BLOCK]
+        diff = buf[: rows.shape[0]]
+        np.subtract(rows, b if b.ndim == 1 else b[lo : lo + _BLOCK], out=diff)
+        out[lo : lo + rows.shape[0]] = norms(diff)
+    return out
+
+
+def _pair_gaps(space: NormedSpaceOps, points: np.ndarray) -> np.ndarray:
+    """``space.norms(points[0::2] - points[1::2])`` for an even-length
+    points, block by block when points is C-contiguous."""
+    return _diff_norms(space.norms, points[0::2], points[1::2], points.flags.c_contiguous)
 
 
 class LpSpace(NormedSpaceOps):
@@ -87,25 +134,8 @@ def _l1_rows(vs: np.ndarray) -> np.ndarray:
     return np.abs(vs).sum(axis=1)
 
 
-# rows per step of ``_l2_rows``; batches of at most one block, the many
-# small ones of the normed recursions, keep the single expression
-_L2_BLOCK = 4096
-
-
 def _l2_rows(vs: np.ndarray) -> np.ndarray:
-    m = vs.shape[0]
-    if m <= _L2_BLOCK or not vs.flags.c_contiguous:
-        return np.sqrt((vs * vs).sum(axis=1))
-    # the same squares and row sums, through one reused block buffer in
-    # place of an m x d array of squares; a C-ordered buffer sums each
-    # row as ``vs * vs`` of a C-ordered vs does, so the bits agree
-    out = np.empty(m)
-    buf = np.empty((_L2_BLOCK, vs.shape[1]))
-    for lo in range(0, m, _L2_BLOCK):
-        rows = vs[lo : lo + _L2_BLOCK]
-        sq = np.multiply(rows, rows, out=buf[: rows.shape[0]])
-        sq.sum(axis=1, out=out[lo : lo + rows.shape[0]])
-    return np.sqrt(out, out=out)
+    return np.sqrt((vs * vs).sum(axis=1))
 
 
 def _linf_rows(vs: np.ndarray) -> np.ndarray:

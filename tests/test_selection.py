@@ -573,3 +573,126 @@ def test_smallest_radius_at_weight_last_index_fallback_is_reached():
     total = float(np.sum(weights))
     assert np.cumsum(weights)[-1] < total
     assert smallest_radius_at_weight(values, weights, total) == 9.0 == _stable_argsort_select(values, weights, total)
+
+
+# The bracketed selection is tried on rows at least _BRACKET_MIN_COLS
+# wide; lowered here, with a sample of every (cols >> 8)-th column, it
+# runs on rows of a few thousand values.
+_LOW_CUT, _LOW_SHIFT = 1024, 8
+
+
+def _bracket_spy(monkeypatch, low=True):
+    """Record each ``_bracket_rows`` result, NaN marking a row handed
+    back to the full scan; with ``low``, lower the cut-off first."""
+    if low:
+        monkeypatch.setattr(selection, "_BRACKET_MIN_COLS", _LOW_CUT)
+        monkeypatch.setattr(selection, "_SAMPLE_SHIFT", _LOW_SHIFT)
+    seen = []
+    bracket_rows = selection._bracket_rows
+
+    def spy(*args):
+        out = bracket_rows(*args)
+        seen.append(out.copy())  # _scan_rows fills the NaN rows in place
+        return out
+
+    monkeypatch.setattr(selection, "_bracket_rows", spy)
+    return seen
+
+
+def _full_scan(monkeypatch, fn):
+    """``fn()`` with every row scanned whole, as below the cut-off."""
+    with monkeypatch.context() as m:
+        m.setattr(selection, "_BRACKET_MIN_COLS", 1 << 62)
+        return fn()
+
+
+def _bracket_case(family, rng):
+    """A block of rows at least the lowered cut-off wide, weights, and targets."""
+    rows, cols = int(rng.integers(1, 4)), int(rng.integers(_LOW_CUT, 4 * _LOW_CUT))
+    weights = rng.integers(512, 1537, size=cols) / 1024.0
+    fractions = [0.05, 0.5, 0.75, 0.97]
+    if family == "planted normals":
+        # distances to a planted center: three quarters of the weight near it
+        near = rng.random((rows, cols)) < 0.75
+        block = np.abs(np.where(near, rng.normal(size=(rows, cols)), 100.0 + rng.normal(size=(rows, cols))))
+    elif family == "ties at the answer":
+        # a handful of values, so lo, hi and the answer each sit in a long tie run
+        block = rng.choice([0.5, 1.0, 1.5, 2.0], size=(rows, cols), p=[0.4, 0.1, 0.4, 0.1])
+        weights = np.ones(cols)
+    elif family == "tiny and zero weights":
+        block = rng.normal(size=(rows, cols))
+        weights = 10.0 ** rng.uniform(-16.0, 0.0, size=cols)
+        weights[rng.random(cols) < 0.2] = 0.0
+    elif family == "signed zeros":
+        block = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(rows, cols), p=[0.3, 0.3, 0.2, 0.2])
+    elif family == "one heavy weight":
+        block = rng.normal(size=(rows, cols))
+        weights[int(rng.integers(cols))] = 1.5 * float(np.sum(weights))
+        fractions = [0.2, 0.5, 0.6]
+    else:  # "near the total": targets within one weight of the total
+        block = rng.normal(size=(rows, cols))
+        total = float(np.sum(weights))
+        return block, weights, [total - 0.5 * float(weights.min()), float(np.nextafter(total, 0.0)), total]
+    total = float(np.sum(weights))
+    return block, weights, [f * total for f in fractions]
+
+
+def _hex_list(xs):
+    return [float(x).hex() for x in xs]
+
+
+_BRACKET_FAMILIES = ["planted normals", "ties at the answer", "tiny and zero weights", "signed zeros",
+                     "one heavy weight", "near the total"]
+
+
+@pytest.mark.parametrize("family", _BRACKET_FAMILIES)
+def test_bracketed_selection_equals_the_full_scan_bit_for_bit(family, monkeypatch):
+    seen = _bracket_spy(monkeypatch)
+    rng = np.random.default_rng(_BRACKET_FAMILIES.index(family))
+    for _ in range(6):
+        block, weights, targets = _bracket_case(family, rng)
+        for target in targets:
+            want = _full_scan(monkeypatch, lambda: select_rows(block, weights, target))
+            got = select_rows(block, weights, target)
+            assert _hex_list(got) == _hex_list(want), (family, target)
+            assert [smallest_radius_at_weight(row, weights, target).hex() for row in block] == _hex_list(want)
+    taken = np.concatenate(seen)
+    if family == "planted normals":
+        assert not np.isnan(taken).any()  # every row is answered inside its bracket
+    else:
+        assert (~np.isnan(taken)).any()
+
+
+def test_bracketed_selection_hands_back_a_running_sum_within_the_slack(monkeypatch):
+    # targets equal to a sequential running sum of tenths, or one ulp off
+    # it: the band's running sum lands within the slack, so the bracket
+    # cannot tell which entry reaches the target and the row is scanned whole
+    seen = _bracket_spy(monkeypatch)
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        cols = int(rng.integers(_LOW_CUT, 3 * _LOW_CUT))
+        values = rng.normal(size=cols)
+        weights = np.full(cols, 0.1)
+        prefix = np.cumsum(weights[np.argsort(values, kind="stable")])
+        at = float(prefix[int(rng.integers(cols // 4, 3 * cols // 4))])
+        for target in (at, float(np.nextafter(at, 0.0)), float(np.nextafter(at, 1.0))):
+            seen.clear()
+            want = _full_scan(monkeypatch, lambda: smallest_radius_at_weight(values, weights, target))
+            assert smallest_radius_at_weight(values, weights, target).hex() == want.hex()
+            assert want.hex() == _stable_argsort_select(values, weights, target).hex()
+            assert len(seen) == 1 and np.isnan(seen[0]).all()
+
+
+def test_bracketed_median_of_a_strided_column_at_the_shipped_cut_off(monkeypatch):
+    # columns of a C-ordered coordinate array, as lp_coordinate_median
+    # passes them, at the shipped cut-off and sample size
+    taken = _bracket_spy(monkeypatch, low=False)
+    rng = np.random.default_rng(19)
+    n = selection._BRACKET_MIN_COLS + 123
+    coords = rng.normal(size=(n, 3)) * np.where(rng.random((n, 1)) < 0.75, 1.0, 50.0)
+    weights = rng.integers(512, 1537, size=n) / 1024.0
+    for k in range(3):
+        want = _full_scan(monkeypatch, lambda: weighted_median(coords[:, k], weights))
+        assert weighted_median(coords[:, k], weights).hex() == want.hex()
+        assert want.hex() == _stable_argsort_select(coords[:, k], weights, 0.5 * float(np.sum(weights))).hex()
+    assert len(taken) == 3 and not np.isnan(np.concatenate(taken)).any()

@@ -1,13 +1,19 @@
-"""LpSpace row kernels: pinned to the first formula, dimension checks, the norms hook."""
+"""Row kernels: pinned to the first formula, blocked difference batches, dimension checks, the norms hook."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onecenter import ArgumentError, LpSpace, NormedSpaceOps, OperatorNormSpace, spaces
+from onecenter import (
+    ArgumentError, LpSpace, NormedSpaceOps, OperatorNormSpace, cluster_halfplus, generate_planted,
+    lp_coordinate_median, spaces,
+)
+
+from conftest import RowCountingLp
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -69,7 +75,7 @@ def test_lp_kernels_equal_abs_formula_bit_for_bit(p, d, m, data):
             got = space.distances(points, center)
             assert _hex(got) == _hex(_abs_norms(p, np.asarray(points, dtype=np.float64) - center))
         assert _hex(space.distances(rows, center.tolist())) == _hex(_abs_norms(p, rows - center))
-    # one full batch per distances call; norm never goes through norms
+    # under one block, one full batch per distances call; norm never goes through norms
     assert space.batches == [m] * 4
 
 
@@ -84,21 +90,73 @@ def test_overflowing_rows_give_the_same_inf(p):
     assert got[3].hex() == "0x0.0p+0"
 
 
+def _batches(m, c_ordered):
+    """Row counts of the ``norms`` calls behind one m-row difference batch."""
+    block = spaces._BLOCK
+    if m <= block or not c_ordered:
+        return [m]
+    return [min(block, m - lo) for lo in range(0, m, block)]
+
+
+_BLOCKED_SPACES = [(p, d) for p in P_VALUES for d in (1, 3, 8, 9)] + [("op", 1), ("op", 4), ("op", 9)]
+
+
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-@pytest.mark.parametrize("d", [1, 3, 8, 9])
-def test_l2_rows_blocked_past_one_block_equal_the_formula_bit_for_bit(layout, d):
-    # batches longer than one block are squared and summed block by
-    # block; F-ordered rows sum in another order, so they must not be
-    block = spaces._L2_BLOCK
+@pytest.mark.parametrize("p, d", _BLOCKED_SPACES, ids=str)
+def test_blocked_distances_and_gaps_equal_the_single_call_bit_for_bit(layout, p, d):
+    # C-ordered batches longer than one block are subtracted and normed
+    # block by block; F-ordered rows reduce in another order, so they,
+    # and strided rows, keep one call (with one column, F order is C order)
+    block = spaces._BLOCK
     rng = np.random.default_rng(d)
-    space = _CountingLp(2.0, d)
+    space = OperatorNormSpace(math.isqrt(d)) if p == "op" else LpSpace(p, d)
+    norms = space.norms
+    if p == "op":
+        formula = norms
+    else:
+        formula = lambda diff: _abs_norms(p, diff)  # noqa: E731
+    batches = []  # row count of every norms call; together they hold each row once
+    space.norms = lambda vs: (batches.append(len(vs)), norms(vs))[1]
     for m in (1, block - 1, block, block + 1, 3 * block + 5):
-        x = rng.normal(size=(2 * m, d)) * 2.0 ** rng.integers(-30, 30, size=(2 * m, d))
-        rows = {"C": x[:m], "F": np.asfortranarray(x[:m]), "strided": x[::2]}[layout]
+        x = rng.normal(size=(4 * m, d)) * 2.0 ** rng.integers(-30, 30, size=(4 * m, d))
+        rows = {"C": x[:m], "F": np.asfortranarray(x[:m]), "strided": x[: 2 * m : 2]}[layout]
+        pairs = {"C": x[: 2 * m], "F": np.asfortranarray(x[: 2 * m]), "strided": x[::2]}[layout]
         center = rng.normal(size=d)
-        assert _hex(space.norms(rows)) == _hex(_abs_norms(2.0, rows))
-        assert _hex(space.distances(rows, center)) == _hex(_abs_norms(2.0, rows - center))
-        assert space.batches[-2:] == [m, m]
+        assert _hex(norms(rows)) == _hex(formula(rows))
+        batches.clear()
+        assert _hex(space.distances(rows, center)) == _hex(formula(rows - center))
+        assert batches == _batches(m, rows.flags.c_contiguous)
+        batches.clear()
+        assert _hex(spaces._pair_gaps(space, pairs)) == _hex(formula(pairs[0::2] - pairs[1::2]))
+        assert batches == _batches(m, pairs.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_distances_on_a_long_c_batch_allocate_no_m_by_d_difference(p):
+    m, d = 1 << 17, 8
+    rng = np.random.default_rng(0)
+    points, center = rng.normal(size=(m, d)), rng.normal(size=d)
+    space = LpSpace(p, d)
+    space.distances(points, center)  # first-call set-up is not the kernel's
+    tracemalloc.start()
+    try:
+        space.distances(points, center)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * d * 8 / 4
+
+
+def test_solver_row_counts_past_one_block_are_unchanged():
+    # pinned from the single-call kernels: blocks split batches, never rows
+    inst = generate_planted("lp", n=9000, d=3, alpha=0.75, seed=4, weights="dyadic")
+    space = RowCountingLp(2.0, 3)
+    cluster_halfplus(inst.ps, space, 0.75, inst.r)
+    assert space.rows == 51766
+    x = lp_coordinate_median(inst.ps, space, 0.75)
+    assert space.rows == 51766  # selection only
+    space.distances(inst.ps.coords, x)
+    assert space.rows == 51766 + 9000
 
 
 @pytest.mark.parametrize("p", P_VALUES)
