@@ -12,8 +12,8 @@ per row and fully deterministic.  The sort is one in-place integer sort
 of keys that pack each value's bits with its index, which is exactly the
 stable permutation (``_stable_order``).  A row of at least 2^15
 positive-weight columns sorts only a band of it, bracketed from a fixed
-sample; the band's answer is kept only when a rounding test proves it
-is the full scan's, else the row is scanned whole (``_bracket_rows``).
+sample, and is scanned whole unless the band's answer passes the
+rounding test of ``_slack`` (``_bracket_rows``).
 """
 
 from __future__ import annotations
@@ -31,22 +31,14 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _one_row(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The values as a one-row block, and the weights; both must be 1-D."""
+def _as_block(values, weights, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values, one row (``ndim`` 1) or a block (2), as a 2-D block, and the weights."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    if v.ndim != 1 or w.ndim != 1:
-        raise ArgumentError("values and weights must be one-dimensional")
-    return v[None, :], w
-
-
-def _as_block(distances, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The distances as a 2-D float64 block and the weights as a 1-D vector."""
-    v = np.ascontiguousarray(distances, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    if v.ndim != 2 or w.ndim != 1:
-        raise ArgumentError("distance block must be two-dimensional and weights one-dimensional")
-    return v, w
+    if v.ndim != ndim or w.ndim != 1:
+        raise ArgumentError("values and weights must be one-dimensional" if ndim == 1 else
+                            "distance block must be two-dimensional and weights one-dimensional")
+    return np.atleast_2d(v), w
 
 
 def _check_block(v: np.ndarray, w: np.ndarray) -> None:
@@ -91,7 +83,7 @@ def weighted_quantile_radius(distances, weights, alpha: float) -> float:
 
 def _select_fraction(values, weights, fraction: float) -> float:
     """Selection at ``fraction`` of the total weight, which must be positive."""
-    v, w = _one_row(values, weights)
+    v, w = _as_block(values, weights, 1)
     _check_block(v, w)
     total = _checked_total(w)
     if total <= 0.0:
@@ -107,7 +99,7 @@ def smallest_radius_at_weight(distances, weights, target_weight: float) -> float
     minimum entry when the target is zero or negative; a NaN target is
     an ArgumentError.  It is the one-row ``select_rows`` call.
     """
-    v, w = _one_row(distances, weights)
+    v, w = _as_block(distances, weights, 1)
     return float(select_rows(v, w, target_weight)[0])
 
 
@@ -122,9 +114,9 @@ def _stable_order(v: np.ndarray) -> np.ndarray:
     sort of them gives one permutation, and it is the stable one
     wherever the truncated keys keep values apart.  Values whose keys
     differ only in the low k bits sort by index instead; each adjacent
-    such pair is compared by value through flat gathers, and a group of
-    them that holds an inversion is re-sorted by value
-    (``_repair_groups``).
+    such pair is compared by value through flat gathers, and the rows
+    holding an inverted pair are re-sorted whole by one stable argsort,
+    so the fallback costs at most one such argsort of those rows.
     """
     c = v.shape[1]
     k = (c - 1).bit_length()
@@ -148,25 +140,9 @@ def _stable_order(v: np.ndarray) -> np.ndarray:
         flat_key, flat_v = key.reshape(-1), v.reshape(-1)
         bad = flat_v[flat_key[at] + base] > flat_v[flat_key[at + 1] + base]
         if bad.any():
-            _repair_groups(v, key, same, rows[bad], (at - base)[bad])
+            redo = np.flatnonzero(np.bincount(rows[bad], minlength=v.shape[0]))
+            key[redo] = np.argsort(v[redo], axis=1, kind="stable")
     return key
-
-
-def _repair_groups(v, order, same, rows, cols) -> None:
-    """Re-sort, in place, each group of ``order`` that holds an inversion.
-
-    A group is a run of positions joined by ``same``; within it the
-    order is by index.  Each inverted pair (row, col) names the group
-    holding positions col and col + 1, and a stable sort of that group's
-    values keeps equal values in index order.
-    """
-    c = order.shape[1]
-    for row in np.unique(rows):
-        starts = np.flatnonzero(~same[row]) + 1
-        bounds = np.concatenate(([0], starts, [c]))
-        for g in np.unique(np.searchsorted(starts, cols[rows == row], side="right")):
-            seg = order[row, bounds[g] : bounds[g + 1]]
-            seg[:] = seg[np.argsort(v[row, seg], kind="stable")]
 
 
 def select_rows(distances, weights, target_weight: float) -> np.ndarray:
@@ -179,13 +155,10 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     scans the whole block along axis 1 (a row of at least 2^15
     positive-weight columns only the band of it that a checked bracket
     leaves, with the same answer).  ``best_candidate`` needs only
-    the smallest of these radii, so it skips a row whose weight at or
-    below a known radius, summed in any order, falls short of the target
-    by more than 4 (c + 1) eps total (c columns): that sum and the
-    running sum here each round by at most (c - 1) eps / 2 of the total,
-    so no skipped row has a radius at or below the known one.
+    the smallest of these radii, and skips the rows that the bound test
+    of ``_slack`` rules out.
     """
-    v, w = _as_block(distances, weights)
+    v, w = _as_block(distances, weights, 2)
     _check_block(v, w)
     total = _checked_total(w)
     _check_target(target_weight)
@@ -258,11 +231,8 @@ def _bracket_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
     -inf and inf where those fractions leave (0, 1).  No randomness is
     involved.  One pass sums, in any order, the weight of the entries
     < lo; only the band lo <= x <= hi is put in stable order, and its
-    running sum starts from that weight.  Every entry < lo precedes the
-    band in stable order, so the band's entry k is the full scan's pick
-    when the band's running sum is below target - slack before it and
-    at least target + slack with it: that running sum and the full
-    scan's each round by less than ``_slack``.  A row that fails the
+    running sum starts from that weight.  The band's entry is kept when
+    it passes the bracket test of ``_slack``; a row that fails the
     test, or whose band never reaches target + slack, is NaN.
     """
     n, c = v.shape
@@ -302,14 +272,22 @@ def _stable_max(v: np.ndarray) -> np.ndarray:
 
 
 def _slack(c: int, total: float) -> float:
-    """Rounding allowance of the bound test in ``_near_rows`` and of the
-    bracket test in ``_bracket_rows``.
+    """Rounding allowance, 4 (c + 1) eps total for rows of c columns, of
+    the two tests that skip work without changing an answer; the one
+    statement of the argument behind both.
 
     A sum of up to c nonnegative weights, in any order, is within
-    (c - 1) eps / 2 of the exact total of its terms, so within that of
-    the exact total weight.  The test's sum, a row's running sum and the
-    rounded total each take one such error; 4 (c + 1) eps total covers
-    all three with room to spare.
+    (c - 1) eps / 2 of the exact total weight.  Each test sets a sum in
+    some order against the full scan's running sum (stable order) or
+    the rounded total: one such error each, and the slack covers all
+    three with room to spare.  Bound test (``_near_rows``): a row's
+    radius is at most b only if the weight of its entries <= b is at
+    least target - slack, so a row that fails can neither win nor tie.
+    Bracket test (``_bracket_rows``): every entry < lo precedes the band
+    [lo, hi] in stable order, so the band's running sum, started from
+    the weight below lo, is the full scan's within the slack, and its
+    entry k is the full scan's pick when that sum is below
+    target - slack before it and at least target + slack with it.
     """
     return 4.0 * (c + 1) * np.finfo(np.float64).eps * total
 
@@ -340,12 +318,8 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
     ``select_rows``, bit for bit, and ``radius`` is the winner's own.
 
     Only rows that can change the answer are scored exactly
-    (``_near_rows``).  A row's radius is at most a bound b only if the
-    weight of its entries <= b, summed in any order, is at least the
-    target less 4 (c + 1) eps total (c columns, ``_slack``): the
-    running sum that reaches the target at that radius and this sum each
-    round by at most (c - 1) eps / 2 of the total.  Rows failing the
-    test are skipped, so every row that could win or tie is scored.
+    (``_near_rows``): a row is skipped only when the bound test of
+    ``_slack`` proves it can neither win nor tie.
     """
     cand = np.asarray(candidates, dtype=np.intp).reshape(-1)
     step = max(1, BLOCK_ELEMS // max(1, len(weights)))
@@ -353,7 +327,7 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
     total = None
     for lo in range(0, cand.size, step):
         chunk = cand[lo : lo + step]
-        v, w = _as_block(fetch(chunk), weights)
+        v, w = _as_block(fetch(chunk), weights, 2)
         _check_block(v, w)
         if total is None:
             total = _checked_total(w)
@@ -377,7 +351,8 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
 
 
 def _near_rows(v: np.ndarray, w: np.ndarray, target: float, total: float, bound: float) -> np.ndarray:
-    """Indices of the rows of v whose radius may be at most ``bound``.
+    """Indices of the rows of v whose radius may be at most ``bound``
+    by the bound test of ``_slack``.
 
     They include every row whose radius is at most ``bound``, and so
     every row holding the smallest radius in v when that is at most

@@ -2,9 +2,21 @@
 
 A space supplies one batched primitive, ``norms``.  Distances from many
 points to one center, and the gaps of consecutive point pairs, are the
-norms of row differences: a C-ordered batch longer than one block
-(``_BLOCK`` rows) is subtracted block by block into one reused buffer
-and each block handed to ``norms``, so no m x d difference is built.
+norms of row differences: a batch longer than one block (``_BLOCK``
+rows) is subtracted block by block, transposed, into one reused
+(d, ``_BLOCK``) buffer, and each block handed to ``norms`` as a (k, d)
+view, so no m x d difference is built.
+
+``LpSpace`` sums each row's d terms (``|x|``, ``x*x`` or ``|x|**p``)
+column by column over all rows at once, in one order for every input
+layout (``_column_sum``): for d < 8 the columns in order; for
+8 <= d <= 128 eight accumulators, r_j adding columns j, j + 8, ... up
+to d - d mod 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+the leftover columns in order; for d > 128 the first h columns and the
+rest, each summed by this rule, then added, with h = floor(d/2) rounded
+down to a multiple of 8.  That is numpy's pairwise row sum of a
+C-ordered array, so the bits are those of ``(vs * vs).sum(axis=1)`` and
+its kin on C-ordered rows.
 """
 
 from __future__ import annotations
@@ -46,10 +58,9 @@ class NormedSpaceOps(ABC):
     def distances(self, points: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Distance from every row of points to center, through ``norms``.
 
-        A C-contiguous points of more than ``_BLOCK`` rows is handed to
-        ``norms`` in blocks of at most ``_BLOCK`` rows (``_diff_norms``);
-        any other points, ``points - center`` in one call.  Either way
-        ``norms`` sees every row once.
+        Points of more than ``_BLOCK`` rows, in any layout, go to ``norms``
+        in blocks of at most ``_BLOCK`` rows (``_diff_norms``), fewer as
+        ``points - center`` in one call: ``norms`` sees every row once.
         """
         if type(points) is not np.ndarray or points.dtype is not _F64:
             points = np.asarray(points, dtype=np.float64)
@@ -60,7 +71,7 @@ class NormedSpaceOps(ABC):
                 f"expected (m, {self.d}) points and a center of length {self.d}, "
                 f"got {points.shape} and {center.shape}"
             )
-        return _diff_norms(self.norms, points, center, points.flags.c_contiguous)
+        return _diff_norms(self.norms, points, center)
 
 
 # rows per ``norms`` call of ``_diff_norms``; batches of at most one
@@ -69,40 +80,39 @@ class NormedSpaceOps(ABC):
 _BLOCK = 4096
 
 
-def _diff_norms(norms, a: np.ndarray, b: np.ndarray, c_ordered: bool) -> np.ndarray:
+def _diff_norms(norms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``norms(a - b)`` for (m, d) rows a and b, or a center b.
 
-    When ``a - b`` comes out C-ordered (``c_ordered``) and m is more than
-    one block, each block of it is written into one reused C-ordered
-    buffer and handed to ``norms``, which must not keep it.  A row
-    reduces the same way in a C-ordered block as in a C-ordered m x d
-    array, so the bits agree with the single call.
+    When m is more than one block, each block of ``a - b`` is written,
+    transposed, into one reused (d, ``_BLOCK``) buffer and handed to
+    ``norms`` as a (k, d) view, which ``norms`` must neither keep nor
+    write into.
     """
-    m = a.shape[0]
-    if m <= _BLOCK or not c_ordered:
+    m, d = a.shape
+    if m <= _BLOCK:
         return norms(a - b)
     out = np.empty(m)
-    buf = np.empty((_BLOCK, a.shape[1]))
+    buf = np.empty((d, _BLOCK))
     for lo in range(0, m, _BLOCK):
-        rows = a[lo : lo + _BLOCK]
-        diff = buf[: rows.shape[0]]
-        np.subtract(rows, b if b.ndim == 1 else b[lo : lo + _BLOCK], out=diff)
-        out[lo : lo + rows.shape[0]] = norms(diff)
+        k = min(_BLOCK, m - lo)
+        diff = buf[:, :k]
+        np.subtract(a[lo : lo + k].T, b[:, None] if b.ndim == 1 else b[lo : lo + k].T, out=diff)
+        out[lo : lo + k] = norms(diff.T)
     return out
 
 
 def _pair_gaps(space: NormedSpaceOps, points: np.ndarray) -> np.ndarray:
-    """``space.norms(points[0::2] - points[1::2])`` for an even-length
-    points, block by block when points is C-contiguous."""
-    return _diff_norms(space.norms, points[0::2], points[1::2], points.flags.c_contiguous)
+    """``space.norms(points[0::2] - points[1::2])`` for an even-length points."""
+    return _diff_norms(space.norms, points[0::2], points[1::2])
 
 
 class LpSpace(NormedSpaceOps):
     """R^d under the l_p norm, p in [1, inf].
 
-    The row kernel is picked once, from p: the abs-sum for p = 1, the
+    The column kernel is picked once, from p: the abs-sum for p = 1, the
     root of the sum of squares for p = 2 (``x*x`` is ``|x|*|x|``, so no
-    abs pass), the abs-max for p = inf, and the power-sum root otherwise.
+    abs pass), the abs-max for p = inf, and the power-sum root otherwise;
+    each reads the (d, m) transpose of the rows and writes only its terms.
     """
 
     def __init__(self, p: float, d: int):
@@ -110,36 +120,51 @@ class LpSpace(NormedSpaceOps):
         if not (p >= 1.0):
             raise ArgumentError(f"p must be >= 1, got {p}")
         self.p = float(p)
-        if math.isinf(self.p):
-            self._rows = _linf_rows
-        elif self.p == 1.0:
-            self._rows = _l1_rows
-        elif self.p == 2.0:
-            self._rows = _l2_rows
-        else:
-            self._rows = self._lp_rows
+        self._cols = {1.0: _l1_cols, 2.0: _l2_cols, math.inf: _linf_cols}.get(self.p, self._lp_cols)
 
-    def _lp_rows(self, vs: np.ndarray) -> np.ndarray:
-        return (np.abs(vs) ** self.p).sum(axis=1) ** (1.0 / self.p)
+    def _lp_cols(self, vt: np.ndarray) -> np.ndarray:
+        return _column_sum(np.abs(vt) ** self.p) ** (1.0 / self.p)
 
     def norms(self, vs: np.ndarray) -> np.ndarray:
         if type(vs) is not np.ndarray or vs.dtype is not _F64:
             vs = np.asarray(vs, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.d:
             raise ArgumentError(f"expected (m, {self.d}) rows, got shape {vs.shape}")
-        return self._rows(vs)
+        return self._cols(vs.T)
 
 
-def _l1_rows(vs: np.ndarray) -> np.ndarray:
-    return np.abs(vs).sum(axis=1)
+def _l1_cols(vt: np.ndarray) -> np.ndarray:
+    return _column_sum(np.abs(vt))
 
 
-def _l2_rows(vs: np.ndarray) -> np.ndarray:
-    return np.sqrt((vs * vs).sum(axis=1))
+def _l2_cols(vt: np.ndarray) -> np.ndarray:
+    return np.sqrt(_column_sum(vt * vt))
 
 
-def _linf_rows(vs: np.ndarray) -> np.ndarray:
-    return np.abs(vs).max(axis=1)
+def _linf_cols(vt: np.ndarray) -> np.ndarray:
+    return np.abs(vt).max(axis=0)
+
+
+def _column_sum(t: np.ndarray) -> np.ndarray:
+    """Sum of the rows of (d, m) nonnegative terms t, in the module
+    docstring's order; t is overwritten."""
+    d = t.shape[0]
+    if d > 128:
+        h = d // 2 - d // 2 % 8
+        return _column_sum(t[:h]) + _column_sum(t[h:])
+    if d < 8:  # 0 + t[0] is t[0]: no term is -0.0
+        s, n8 = (t[0] + t[1] if d > 1 else t[0]), 2
+    else:
+        n8 = d - d % 8
+        r = t[:8]
+        for i in range(8, n8, 8):
+            r += t[i : i + 8]
+        r[0::2] += r[1::2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        r[0::4] += r[2::4]
+        s = r[0] + r[4]
+    for j in range(n8, d):
+        s += t[j]
+    return s
 
 
 def validate_norm_axioms(ops: NormedSpaceOps, samples: np.ndarray, tol: float = 1e-9) -> None:

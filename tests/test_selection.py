@@ -256,20 +256,32 @@ def _order_family(name, rng, rows, cols):
 _FAMILIES = ["uniform", "small integers", "signed zeros", "subnormals", "extremes", "all equal", "near-ties"]
 
 
+def _argsort_spy(monkeypatch):
+    """Patch ``np.argsort``; the returned list gets the shape of the
+    argument of every later call, in order."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: (calls.append(np.shape(a)), argsort(a, *args, **kw))[1])
+    return calls
+
+
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_stable_order_equals_a_stable_argsort_on_every_family(family, monkeypatch):
     # lengths 1, 2, 2^k and 2^k + 1: where the index takes one bit more
-    repairs = []
-    repair = selection._repair_groups
-    monkeypatch.setattr(selection, "_repair_groups", lambda *a: (repairs.append(a), repair(*a)))
+    calls = _argsort_spy(monkeypatch)
+    resorted = 0
     rng = np.random.default_rng(_FAMILIES.index(family))
     for cols in (1, 2, 3, 4, 5, 8, 9, 64, 65, 4096, 4097):
         for _ in range(3):
             block = _order_family(family, rng, 4, cols)
             want = np.argsort(block, axis=1, kind="stable")
+            calls.clear()
             assert np.array_equal(selection._stable_order(block), want), (family, cols)
+            # at most one fallback argsort, and no row in it twice
+            assert len(calls) <= 1 and all(shape[0] <= 4 for shape in calls)
+            resorted += len(calls)
     if family == "near-ties":
-        assert repairs
+        assert resorted
 
 
 def _padded_aliases(rng, rows, cols):
@@ -300,15 +312,35 @@ def test_stable_order_repairs_a_group_whose_index_bits_invert_value_order(monkey
     # get one truncated key, 1.0's, and sort by index: an inversion
     row = np.array([[1 + 5 * _U, 1 + 3 * _U, 1.0, 2.0, 1 + 3 * _U, 0.5, 1 + 5 * _U, 1 + 4 * _U]])
     block = np.vstack([row, row[:, ::-1], np.arange(8.0)[None, :]])
-    repairs = []
-    repair = selection._repair_groups
-    monkeypatch.setattr(selection, "_repair_groups", lambda *a: (repairs.append(a), repair(*a)))
-    assert np.array_equal(selection._stable_order(block), np.argsort(block, axis=1, kind="stable"))
-    assert len(repairs) == 1
-    assert set(repairs[0][3].tolist()) == {0, 1}  # rows of the inverted pairs; row 2 is clean
-    repairs.clear()
+    want = np.argsort(block, axis=1, kind="stable")
+    calls = _argsort_spy(monkeypatch)
+    assert np.array_equal(selection._stable_order(block), want)
+    assert calls == [(2, 8)]  # rows 0 and 1, whole, in one call; row 2 is clean
+    calls.clear()
     assert np.array_equal(selection._stable_order(block[2:]), [np.arange(8)])
-    assert repairs == []
+    assert calls == []
+
+
+def test_stable_order_resorts_rows_of_inverted_one_ulp_pairs_whole_in_one_argsort(monkeypatch):
+    # 1, 1, 2, 2, ... with each even index one ulp higher: every pair of
+    # a row shares its truncated key and comes out inverted, 2,048 pairs a row
+    vals = np.repeat(np.arange(1.0, 2049.0), 2)
+    vals[0::2] = np.nextafter(vals[0::2], math.inf)
+    block = np.tile(vals, (64, 1))
+    block[1::2] *= 3.0  # another scale on odd rows, with the same inversions
+    want = np.argsort(block, axis=1, kind="stable")
+    calls = _argsort_spy(monkeypatch)
+    got = selection._stable_order(block)
+    assert calls == [(64, 4096)]  # one stable argsort, each row once
+    assert np.array_equal(got, want)
+    assert [float(x).hex() for x in np.take_along_axis(block, got, axis=1).ravel()] == [
+        float(x).hex() for x in np.take_along_axis(block, want, axis=1).ravel()
+    ]
+    calls.clear()
+    w = np.ones(4096)
+    radii = select_rows(block, w, 1000.0)
+    assert len(calls) == 1 and calls[0][0] <= 64
+    assert [r.hex() for r in radii] == [_stable_argsort_select(row, w, 1000.0).hex() for row in block]
 
 
 def test_select_rows_edge_cases():

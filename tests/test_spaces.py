@@ -1,4 +1,4 @@
-"""Row kernels: pinned to the first formula, blocked difference batches, dimension checks, the norms hook."""
+"""Column kernels: pinned to the first formula in every layout, blocked difference batches, dimension checks, the norms hook."""
 
 import math
 import tracemalloc
@@ -90,11 +90,32 @@ def test_overflowing_rows_give_the_same_inf(p):
     assert got[3].hex() == "0x0.0p+0"
 
 
-def _batches(m, c_ordered):
+# every width where the pairwise order changes shape: sequential below 8,
+# eight accumulators and a tail up to 128, split halves past it
+_PARITY_DIMS = list(range(1, 40)) + [63, 64, 65, 127, 128, 129, 200, 257, 300]
+
+
+@pytest.mark.parametrize("d", _PARITY_DIMS)
+def test_column_kernels_give_the_c_ordered_row_sum_bits_in_every_layout(d):
+    rng = np.random.default_rng(d)
+    for m in (1, 2, 7, 300):
+        c = rng.normal(size=(m, d)) * 2.0 ** rng.integers(-30, 30, size=(m, d))
+        c[rng.random((m, d)) < 0.05] = 0.0
+        wide = np.zeros((2 * m, 3 * d))
+        wide[::2, ::3] = c
+        layouts = (c, np.asfortranarray(c), wide[::2, ::3], np.asfortranarray(wide)[::2, ::3],
+                   c[::-1, ::-1].copy()[::-1, ::-1])
+        for p in P_VALUES:
+            want = _hex(_abs_norms(p, c))
+            for rows in layouts:
+                before = rows.copy()
+                assert _hex(LpSpace(p, d).norms(rows)) == want, (p, m, rows.flags.c_contiguous)
+                assert np.array_equal(rows, before)  # norms never writes its input
+
+
+def _batches(m):
     """Row counts of the ``norms`` calls behind one m-row difference batch."""
     block = spaces._BLOCK
-    if m <= block or not c_ordered:
-        return [m]
     return [min(block, m - lo) for lo in range(0, m, block)]
 
 
@@ -104,9 +125,9 @@ _BLOCKED_SPACES = [(p, d) for p in P_VALUES for d in (1, 3, 8, 9)] + [("op", 1),
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("p, d", _BLOCKED_SPACES, ids=str)
 def test_blocked_distances_and_gaps_equal_the_single_call_bit_for_bit(layout, p, d):
-    # C-ordered batches longer than one block are subtracted and normed
-    # block by block; F-ordered rows reduce in another order, so they,
-    # and strided rows, keep one call (with one column, F order is C order)
+    # batches longer than one block are subtracted and normed block by
+    # block in every layout, and each norm has the bits of the formula
+    # on the C-ordered difference
     block = spaces._BLOCK
     rng = np.random.default_rng(d)
     space = OperatorNormSpace(math.isqrt(d)) if p == "op" else LpSpace(p, d)
@@ -121,14 +142,15 @@ def test_blocked_distances_and_gaps_equal_the_single_call_bit_for_bit(layout, p,
         x = rng.normal(size=(4 * m, d)) * 2.0 ** rng.integers(-30, 30, size=(4 * m, d))
         rows = {"C": x[:m], "F": np.asfortranarray(x[:m]), "strided": x[: 2 * m : 2]}[layout]
         pairs = {"C": x[: 2 * m], "F": np.asfortranarray(x[: 2 * m]), "strided": x[::2]}[layout]
+        crows, cpairs = np.ascontiguousarray(rows), np.ascontiguousarray(pairs)
         center = rng.normal(size=d)
-        assert _hex(norms(rows)) == _hex(formula(rows))
+        assert _hex(norms(rows)) == _hex(formula(crows))
         batches.clear()
-        assert _hex(space.distances(rows, center)) == _hex(formula(rows - center))
-        assert batches == _batches(m, rows.flags.c_contiguous)
+        assert _hex(space.distances(rows, center)) == _hex(formula(crows - center))
+        assert batches == _batches(m)
         batches.clear()
-        assert _hex(spaces._pair_gaps(space, pairs)) == _hex(formula(pairs[0::2] - pairs[1::2]))
-        assert batches == _batches(m, pairs.flags.c_contiguous)
+        assert _hex(spaces._pair_gaps(space, pairs)) == _hex(formula(cpairs[0::2] - cpairs[1::2]))
+        assert batches == _batches(m)
 
 
 @pytest.mark.parametrize("p", P_VALUES)
