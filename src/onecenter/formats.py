@@ -11,7 +11,10 @@ Three formats, one per space model plus a replayable fixture format:
   solver runs can be replayed bit-for-bit.
 
 All floats are written with Python's shortest round-trip repr, so
-serialize-then-parse returns identical values.
+serialize-then-parse returns identical values.  Files are read as UTF-8
+text.  The CSV and matrix rows go first to numpy's C parser and, when it
+cannot vouch for them, to a per-line parser that names the bad line and
+token; both give the same values (``_fast_rows``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from itertools import repeat
 
 import numpy as np
 
@@ -39,14 +44,15 @@ def _parse_float(token: str, line: int, what: str) -> float:
     return value
 
 
-def _parse_row(cells: list[str], line: int, what: list[str]) -> tuple[float, ...]:
+def _parse_row(cells: list[str], line: int, what) -> tuple[float, ...]:
     """Floats of one row, with the exact errors of ``_parse_float``.
 
-    ``what[c]`` names column c in error messages.  The fast path is the
-    same ``float`` call; only a row that fails it, or whose sum is NaN
-    (a NaN cell, or a false alarm from inf + -inf), is parsed again token
-    by token so that the first bad token is the one reported.  Rows are
-    tuples, which hold a short row in less memory than a list.
+    ``what`` yields the name of each column in turn, for error messages.
+    The fast path is the same ``float`` call; only a row that fails it,
+    or whose sum is NaN (a NaN cell, or a false alarm from inf + -inf),
+    is parsed again token by token so that the first bad token is the
+    one reported.  Rows are tuples, which hold a short row in less memory
+    than a list.
     """
     try:
         vals = tuple(map(float, cells))
@@ -58,16 +64,81 @@ def _parse_row(cells: list[str], line: int, what: list[str]) -> tuple[float, ...
     return tuple(_parse_float(c, line, w) for c, w in zip(cells, what))
 
 
+def _read_text(fh) -> str:
+    """All of fh's text; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return fh.read()
+    except UnicodeDecodeError as exc:
+        raw, at = exc.object, exc.start
+        raise ParseError(
+            f"file is not UTF-8 text: cannot decode byte {raw[at]:#04x} at offset {at}",
+            line=raw.count(b"\n", 0, at) + 1,
+        ) from None
+
+
+def _first_line(text: str) -> str:
+    """``text.splitlines()[0]`` ("" for empty text) without splitting the rest."""
+    end = text.find("\n")
+    return ((text if end < 0 else text[:end]).splitlines() or [""])[0]
+
+
+# Whitespace that str.splitlines breaks lines at (\x0b, \x0c, \x1c to
+# \x1e) but numpy's reader takes for a space, and \x1f, which numpy's
+# reader strips from a number but ``float`` does not.
+_ODD_SPACE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_NONBLANK = re.compile(r"\S")
+
+
+def _fast_rows(fh, text: str, delimiter) -> np.ndarray | None:
+    """The rows after the first line, read by numpy's C parser, or None.
+
+    ``text`` is everything fh holds.  The C parser reads only ASCII text
+    whose whitespace is spaces, tabs and newlines (a text-mode file turns
+    every line end into one newline), where its lines and fields are the
+    per-line parser's; it converts a field with the same C routine that
+    ``float`` calls, but accepts fewer spellings (no ``_``).  Any rows it
+    returns with no NaN are therefore the per-line parser's values; the
+    caller still checks their shape.  None means the per-line parser must
+    decide, and name the error if there is one: the C parser failed, saw
+    a NaN, or there are no rows (numpy would warn).  fh is read again
+    rather than text wrapped in a StringIO, whose buffer would take four
+    bytes a character.
+    """
+    if not text.isascii() or any(c in text for c in _ODD_SPACE):
+        return None
+    body = text.find("\n") + 1
+    if not body or _NONBLANK.search(text, body) is None:
+        return None
+    fh.seek(0)
+    fh.readline()
+    try:
+        rows = np.loadtxt(fh, comments=None, ndmin=2, delimiter=delimiter)
+    except ValueError:  # a bad token or row: the per-line parser names it
+        return None
+    return None if np.isnan(rows).any() else rows
+
+
 def read_points_csv(path: str) -> WeightedPointSet:
     """Parse a ``w,x1,...,xd`` CSV into a weighted point set."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file, expected a w,x1,...,xd header", line=1)
-    header = [c.strip() for c in lines[0].split(",")]
-    d = len(header) - 1
-    if d < 1 or header[0] != "w" or header[1:] != [f"x{i}" for i in range(1, d + 1)]:
-        raise ParseError("header must be w,x1,...,xd", line=1)
+        text = _read_text(fh)
+        if not text:
+            raise ParseError("empty file, expected a w,x1,...,xd header", line=1)
+        header = [c.strip() for c in _first_line(text).split(",")]
+        d = len(header) - 1
+        if d < 1 or header[0] != "w" or header[1:] != [f"x{i}" for i in range(1, d + 1)]:
+            raise ParseError("header must be w,x1,...,xd", line=1)
+        data = _fast_rows(fh, text, ",")
+    if data is None or data.shape[1] != d + 1:
+        data = _csv_rows(text.splitlines(), d)
+    try:
+        return WeightedPointSet.from_coords(data[:, 1:], data[:, 0])
+    except ArgumentError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _csv_rows(lines: list[str], d: int) -> np.ndarray:
+    # the per-line parser of the rows after the header
     what = ["weight"] + ["coordinate"] * d
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -79,12 +150,7 @@ def read_points_csv(path: str) -> WeightedPointSet:
         rows.append(_parse_row(cells, lineno, what))
     if not rows:
         raise ParseError("no data rows after the header", line=2)
-    data = np.array(rows)
-    del rows  # free the row tuples before from_coords copies the columns out
-    try:
-        return WeightedPointSet.from_coords(data[:, 1:], data[:, 0])
-    except ArgumentError as exc:
-        raise ParseError(str(exc)) from exc
+    return np.array(rows)
 
 
 def write_points_csv(path: str, ps: WeightedPointSet) -> None:
@@ -99,16 +165,26 @@ def write_points_csv(path: str, ps: WeightedPointSet) -> None:
 def read_matrix(path: str) -> np.ndarray:
     """Parse the distance-matrix text format (first line n, then n rows)."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("empty file, expected a size line", line=1)
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(f"size line must be an integer, got {lines[0].strip()!r}", line=1) from None
-    if n < 1:
-        raise ParseError(f"size must be positive, got {n}", line=1)
-    what = ["distance"] * n
+        text = _read_text(fh)
+        size = _first_line(text).strip()
+        if not size:
+            raise ParseError("empty file, expected a size line", line=1)
+        try:
+            n = int(size)
+        except ValueError:
+            raise ParseError(f"size line must be an integer, got {size!r}", line=1) from None
+        if n < 1:
+            raise ParseError(f"size must be positive, got {n}", line=1)
+        rows = _fast_rows(fh, text, None)
+    if rows is not None and rows.shape == (n, n):
+        return rows
+    return _matrix_rows(text.splitlines(), n)
+
+
+def _matrix_rows(lines: list[str], n: int) -> np.ndarray:
+    # the per-line parser of the rows after the size line; nothing here
+    # is sized by n before n rows have been read
+    what = repeat("distance")
     rows = []
     lineno = 1
     for raw in lines[1:]:
@@ -212,10 +288,11 @@ def save_instance(path: str, inst: PlantedInstance) -> None:
 
 def load_instance(path: str) -> PlantedInstance:
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        text = _read_text(fh)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     return instance_from_dict(data)
 
 

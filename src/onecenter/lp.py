@@ -16,7 +16,7 @@ import numpy as np
 from .core import WeightedPointSet, require_fraction, require_pairing, require_positive_weight
 from .errors import ArgumentError
 from .selection import weighted_median
-from .spaces import LpSpace, NormedSpaceOps
+from .spaces import _BLOCK, LpSpace, NormedSpaceOps
 
 
 def lp_median_bound(alpha: float, p: float) -> float:
@@ -44,7 +44,13 @@ def lp_coordinate_median(ps: WeightedPointSet, space: LpSpace, alpha: float) -> 
     require_fraction(alpha, above_half=True)
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
+    # one transposed copy, made block by block so that each block's
+    # rows stay in cache, hands every selection a contiguous row
+    coords = ps.coords
+    cols = np.empty(coords.shape[::-1])
+    for lo in range(0, coords.shape[0], _BLOCK):
+        cols[:, lo : lo + _BLOCK] = coords[lo : lo + _BLOCK].T
     out = np.empty(space.d)
     for k in range(space.d):
-        out[k] = weighted_median(ps.coords[:, k], ps.weights)
+        out[k] = weighted_median(cols[k], ps.weights)
     return out

@@ -65,17 +65,16 @@ def _pair_reduce_arrays(
         # pad with a zero-weight copy of the first point
         points = np.vstack([points, points[:1]])
         weights = np.concatenate([weights, [0.0]])
-    a = points[0::2]
-    b = points[1::2]
     wa = weights[0::2]
     wb = weights[1::2]
     if gaps is None:
         gaps = _pair_gaps(space, points)
     close = gaps <= 2.0 * r
     v = np.where(close, wa + wb, np.abs(wa - wb))
-    # heavier member survives; ties keep the earlier point
+    # heavier member survives; ties keep the earlier point.  One row
+    # gather copies each survivor, the same bytes as a per-pair select.
     take_a = wa >= wb
-    reduced = np.where(take_a[:, None], a, b)
+    reduced = points.take(np.arange(0, points.shape[0], 2) + ~take_a, axis=0)
     return reduced, v
 
 
@@ -119,10 +118,11 @@ def centroid_refine(
     require_pairing(ps, space, (NormedSpaceOps,))
     a = np.asarray(a, dtype=np.float64)
     mask = space.distances(ps.coords, a) <= K * r
-    total = float(np.sum(ps.weights[mask]))
+    w = ps.weights[mask]
+    total = float(np.sum(w))
     if total <= 0.0:
         raise DegenerateInputError("no weight within K*r of the current center")
-    return ps.coords[mask].T @ ps.weights[mask] / total
+    return ps.coords.compress(mask, axis=0).T @ w / total
 
 
 def _refine_loop(
@@ -160,11 +160,14 @@ def _refine_loop(
             if K <= C:
                 return center, d
             mask = d <= K * r
-        total = float(np.add.reduce(weights[mask]))
+        w = weights[mask]
+        total = float(np.add.reduce(w))
         if total <= 0.0:
             # no valid ball can exist here; keep the center unrefined
             return center, d
-        center = points[mask].T @ weights[mask] / total
+        # compress copies the same rows as points[mask], in the same
+        # C order, so the product sees the same operand
+        center = points.compress(mask, axis=0).T @ w / total
         used = mask.tobytes()
         K *= shrink
     return center, None

@@ -115,6 +115,19 @@ def _run_raw(argv, capsys):
     return code, out, err
 
 
+@pytest.mark.parametrize("name, data", [
+    ("p.csv", b"w,x1\n1,2\n1,\xff\n"),
+    ("m.txt", b"2\n0 1\n1 \xff\n"),
+    ("i.json", b"\xff"),
+])
+def test_non_utf8_input_is_an_error_line(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = _run_raw(["solve", "--input", str(path), "--alpha", "0.75"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,11 +1,16 @@
 """Round-trip fidelity and error reporting of the three file formats."""
 
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onecenter import ArgumentError, ParseError, WeightedPointSet, generate_planted
+from onecenter import ArgumentError, ParseError, WeightedPointSet, formats, generate_planted
 from onecenter.formats import (
     _parse_float,
     detect_format,
@@ -218,6 +223,25 @@ _MATRIX_CORPUS = [
     "2\n0 1\n\n\n",
     "\n2\n0 1\n1 0\n",
     "2\n0 1 2\n1 0\n",
+    # str.splitlines ends a line at \x0b, \x0c and \x1c; numpy's reader
+    # takes them for spaces
+    "2\n0 1\x0b1 0\n",
+    "2\n0 \x0b1\n1 0\n",
+    "2\n0 1\x0c1 0\n",
+    "2\n0 \x0c1\n1 0\n",
+    "2\n0 1\x1c1 0\n",
+    "2\n0 \x1c1\n1 0\n",
+    "2\n0 1\x1f\n1 0\n",
+    "2\x0b0 1\n1 0\n",
+    "2\r\n0 1\r\n1 0\r\n",
+    "2\n0 1\r1 0\r",
+    "2\n0 #\n# 0\n",
+    "2\n# 1\n1 0\n",
+    "2\n0 1e400\n1e400 0\n",
+    "2\n0 \u0661\n1 0\n",
+    "1\n0\n",
+    "3\n",
+    "3\n  \n\t\n",
 ]
 
 _CSV_CORPUS = [
@@ -234,6 +258,24 @@ _CSV_CORPUS = [
     "w,x1\n1,-inf\n",
     "w,x1\n-1,0\n",
     "w,x1\n",
+    "w,x1\n1,2\x0b3,4\n",
+    "w,x1\n1,2\x0b3\n",
+    "w,x1\n1,\x0c2\n",
+    "w,x1\n1,2\x0c\n",
+    "w,x1\n1,2\x1c\n",
+    "w,x1\n1,\x1c2\n",
+    "w,x1\n1,2\x1f\n",
+    "w,x1\r\n1,2\r\n3,4\r\n",
+    "w,x1\n1,2\r3,4\r",
+    "w,x1\n#1,2\n",
+    "w,x1\n1,2 # note\n",
+    "w,x1\n1,1e400\n0.5,-1e400\n",
+    "w,x1\n1,2\n \t \n3,4\n",
+    "w,x1\n1,\u0662\n",
+    "w,x1\n1,2,\n",
+    "w,x1\n1,\n",
+    "w,x1\n1,\"2\"\n",
+    "w,x1\n\n",
 ]
 
 
@@ -249,6 +291,127 @@ def test_read_points_csv_matches_per_token_reference(tmp_path, text):
     path = tmp_path / "p.csv"
     path.write_text(text)
     assert _outcome(read_points_csv, str(path)) == _outcome(_read_points_csv_per_token, str(path))
+
+
+def _per_line_outcome(read, path):
+    # the reader with numpy's C parser switched off: every row goes
+    # through the per-line parser
+    with mock.patch.object(formats, "_fast_rows", return_value=None):
+        return _outcome(read, path)
+
+
+_GOOD_TOKENS = ["0", "1", "2.5", "-0.0", "1e-320", "7", "0.125", "3e5", "1e400", ".5", "+1"]
+_ODD_TOKENS = ["inf", "-inf", "nan", "+nan", "1_0", "#", "x", "", "\u0663", "0x1", "1d0", "1 2"]
+_GOOD_SEPS = {
+    "cell": [" ", " ", "\t", "  "],
+    "csv": [",", ",", ", ", " ,", "\t,"],
+    "line": ["\n", "\n", "\r\n", "\n\n", "\n \t\n"],
+}
+_ODD_SEPS = {
+    "cell": ["\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x00", ","],
+    "csv": [",\x1f", ",\x0c", "\x1c,", ",\x0b", " ", ",,"],
+    "line": ["\r", "\n,\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n#\n"],
+}
+
+
+@st.composite
+def _soup(draw, csv):
+    """A header, then rows of about the header's width.  Tokens, and
+    separators, come from well-formed pieces only or mixed with odd ones,
+    so that both parsers see many files they accept."""
+    width = draw(st.integers(1, 3))
+    head = "w," + ",".join(f"x{i}" for i in range(1, width)) if csv else str(width)
+    odd_tokens, odd_seps = draw(st.booleans()), draw(st.booleans())
+    tokens = st.sampled_from(_GOOD_TOKENS + (_ODD_TOKENS if odd_tokens else []))
+    pool = {k: v + (_ODD_SEPS[k] if odd_seps else []) for k, v in _GOOD_SEPS.items()}
+    cells = st.sampled_from(pool["csv" if csv else "cell"])
+    lines = st.sampled_from(pool["line"])
+    text = head + draw(lines)
+    for _ in range(draw(st.sampled_from([width] * 4 + [0, 1, width + 1]))):
+        row = [draw(tokens) for _ in range(draw(st.sampled_from([width] * 6 + [max(width - 1, 1), width + 1])))]
+        text += row[0] + "".join(draw(cells) + t for t in row[1:]) + draw(lines)
+    return text
+
+
+@given(text=st.one_of(_soup(csv=False), _soup(csv=True)))
+@settings(max_examples=400, deadline=None)
+def test_c_parser_and_per_line_parser_agree_on_token_soups(tmp_path_factory, text):
+    csv = text.startswith("w")
+    path = str(tmp_path_factory.getbasetemp() / ("soup.csv" if csv else "soup.txt"))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    read = read_points_csv if csv else read_matrix
+    assert _outcome(read, path) == _per_line_outcome(read, path)
+
+
+@pytest.mark.parametrize("text", [
+    "2\n0 inf\ninf 0\n",
+    "2\n  0   1e-320 \n\t1e-320\t0\n",
+    "2\n-0.0 1\n1 -0.0\n",
+    "3\n0 1.5 2.25\n1.5 0 0.125\n2.25 0.125 0\n",
+    "2\n\n0 1\n\n  \n1 0\n\n",
+    "2\r\n0 1\r\n1 0\r\n",
+    "2\n0 1e400\n1e400 0\n",
+    "1\n0",
+])
+def test_c_parser_reads_well_formed_matrices(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    with mock.patch.object(formats, "_matrix_rows", side_effect=AssertionError("per-line parser ran")):
+        got = read_matrix(str(path))
+    assert _outcome(read_matrix, str(path)) == _per_line_outcome(read_matrix, str(path))
+    assert got.flags.c_contiguous
+
+
+def test_c_parser_reads_generated_csv(tmp_path):
+    lp = generate_planted("lp", n=300, d=5, alpha=0.75, r=1.0, seed=4)
+    path = str(tmp_path / "p.csv")
+    write_points_csv(path, lp.ps)
+    with mock.patch.object(formats, "_csv_rows", side_effect=AssertionError("per-line parser ran")):
+        got = read_points_csv(path)
+    assert got.coords.tobytes() == lp.ps.coords.tobytes()
+    assert got.weights.tobytes() == lp.ps.weights.tobytes()
+
+
+@pytest.mark.parametrize("text, read", [
+    ("3\n", read_matrix),
+    ("3\n \t\n\n", read_matrix),
+    ("3", read_matrix),
+    ("w,x1\n", read_points_csv),
+    ("w,x1\n\n  \n", read_points_csv),
+])
+def test_header_only_files_fail_without_warnings(tmp_path, text, read):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            read(str(path))
+
+
+def test_matrix_size_line_allocates_nothing_before_the_rows(tmp_path):
+    # a 13-byte file claiming n = 2e7 once built a 2e7-entry list (160 MB)
+    path = tmp_path / "huge.txt"
+    path.write_text("20000000\n0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_matrix(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "expected 20000000 entries" in str(err.value)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("name, read", [("p.csv", read_points_csv), ("m.txt", read_matrix), ("i.json", load_instance)])
+def test_non_utf8_bytes_are_a_parse_error(tmp_path, name, read):
+    path = tmp_path / name
+    path.write_bytes({"p.csv": b"w,x1\n1,2\n1,\xff\n", "m.txt": b"1\n0\n\xff\n", "i.json": b'{\n"a": "\xff"}'}[name])
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert "not UTF-8" in str(err.value) and "0xff" in str(err.value)
+    assert err.value.line == (3 if name != "i.json" else 2)
 
 
 def test_parsers_match_per_token_reference_on_generated_files(tmp_path):

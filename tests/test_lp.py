@@ -12,7 +12,9 @@ from onecenter import (
     generate_planted,
     lp_coordinate_median,
     lp_median_bound,
+    weighted_median,
 )
+from onecenter.spaces import _BLOCK
 
 
 def test_identical_points_return_that_point():
@@ -119,3 +121,22 @@ def test_low_alpha_rejected():
             lp_coordinate_median(ps, LpSpace(2.0, 2), alpha)
         with pytest.raises(UnsupportedFractionError):
             lp_median_bound(alpha, 2.0)
+
+
+@pytest.mark.parametrize("n", [7, _BLOCK, 2 * _BLOCK + 37])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_coordinate_median_matches_per_column_selection(n, layout):
+    rng = np.random.default_rng(n)
+    d = 5
+    # one decimal place, so columns hold many ties
+    base = np.round(rng.normal(size=(2 * n, 2 * d)) * 3.0, 1)
+    coords = {
+        "C": np.ascontiguousarray(base[:n, :d]),
+        "F": np.asfortranarray(base[:n, :d]),
+        "strided": base[::2, ::2],
+    }[layout]
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=n)
+    weights[0] = 1.0
+    got = lp_coordinate_median(WeightedPointSet.from_coords(coords, weights), LpSpace(2.0, d), 0.75)
+    want = np.array([weighted_median(coords[:, k], weights) for k in range(d)])
+    assert got.tobytes() == want.tobytes()

@@ -22,7 +22,8 @@ from onecenter import (
     validate_norm_axioms,
     verify_ball,
 )
-from onecenter.normed import _refine_loop
+from onecenter.normed import _pair_reduce_arrays, _refine_loop
+from onecenter.spaces import _BLOCK, _pair_gaps
 
 from conftest import RowCountingLp
 
@@ -324,6 +325,62 @@ def test_refine_loop_matches_naive_loop_bit_for_bit(case):
     # a returned row is the returned center's distances, bit for bit
     if d is not None:
         assert d.tobytes() == LpSpace(p, points.shape[1]).distances(points, got).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize(
+    "n, d, start", [(_BLOCK + 1, 8, "point"), (3 * _BLOCK + 17, 3, "off"), (2 * _BLOCK, 9, "mean")]
+)
+def test_refine_loop_matches_naive_loop_on_sets_of_several_blocks(p, n, d, start):
+    inst = generate_planted("lp", n=n, d=d, alpha=0.7, r=1.0, seed=n + d, weights="dyadic", p=p)
+    points, weights = inst.ps.coords, inst.ps.weights
+    center = {"point": points[n // 2], "off": inst.centers[0] + 3.0, "mean": points.mean(axis=0)}[start]
+    got, _ = _refine_loop(points, weights, LpSpace(p, d), center, 0.6, inst.r)
+    want = _naive_refine_loop(points, weights, LpSpace(p, d), center, 0.6, inst.r)
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got, center)
+
+
+def _where_pair_reduce(points, weights, space, r):
+    """The pair reduction with each survivor picked by a per-pair select."""
+    if points.shape[0] % 2 == 1:
+        points = np.vstack([points, points[:1]])
+        weights = np.concatenate([weights, [0.0]])
+    a, b = points[0::2], points[1::2]
+    wa, wb = weights[0::2], weights[1::2]
+    v = np.where(_pair_gaps(space, points) <= 2.0 * r, wa + wb, np.abs(wa - wb))
+    return np.where((wa >= wb)[:, None], a, b), v
+
+
+def _assert_same_reduction(points, weights, space, r):
+    got = _pair_reduce_arrays(points, weights, space, r)
+    want = _where_pair_reduce(points, weights, space, r)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+
+
+@given(
+    n=st.integers(1, 41),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5]), min_size=41, max_size=41),
+)
+@settings(max_examples=200, deadline=None)
+def test_pair_survivor_gather_matches_per_pair_select(n, d, seed, weights):
+    rng = np.random.default_rng(seed)
+    # few distinct values, signed zeros among them, so rows and weights tie
+    points = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(n, d))
+    _assert_same_reduction(points, np.array(weights[:n]), LpSpace(2.0, d), float(rng.choice([0.1, 1.0, 4.0])))
+
+
+def test_pair_survivor_gather_matches_per_pair_select_on_several_blocks():
+    rng = np.random.default_rng(5)
+    n = 4 * _BLOCK + 7
+    points = rng.normal(size=(n, 8))
+    weights = rng.choice([0.0, 1.0, 2.0], size=n)
+    _assert_same_reduction(points, weights, LpSpace(1.0, 8), 1.0)
+    _assert_same_reduction(np.asfortranarray(points), weights, LpSpace(2.0, 8), 1.0)
 
 
 def test_refine_loop_skips_stationary_steps_at_small_eps():
