@@ -86,7 +86,8 @@ def _unit_directions(rng: np.random.Generator, count: int, d: int, ops: LpSpace)
     v = rng.standard_normal((count, d))
     lengths = ops.norms(v)
     lengths[lengths == 0.0] = 1.0
-    return v / lengths[:, None]
+    v /= lengths[:, None]
+    return v
 
 
 def _grow_mask_to_weight(mask: np.ndarray, weights: np.ndarray, need: float, free: np.ndarray) -> None:
@@ -192,14 +193,16 @@ def generate_planted(
         idx = np.flatnonzero(mask)
         k = idx.size
         dirs = _unit_directions(rng, k, d, ops)
-        radii = rng.uniform(0.0, 0.98 * r, size=k)
-        coords[idx] = c + dirs * radii[:, None]
+        dirs *= rng.uniform(0.0, 0.98 * r, size=k)[:, None]
+        dirs += c
+        coords[idx] = dirs
         coords[idx[0]] = c  # one point exactly at the center
     out_idx = np.flatnonzero(free)
     if out_idx.size:
         dirs = _unit_directions(rng, out_idx.size, d, ops)
-        radii = rng.uniform(shell_lo, shell_hi, size=out_idx.size)
-        coords[out_idx] = origin + dirs * radii[:, None]
+        dirs *= rng.uniform(shell_lo, shell_hi, size=out_idx.size)[:, None]
+        dirs += origin
+        coords[out_idx] = dirs
 
     perm = rng.permutation(n)
     coords = coords[perm]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -125,6 +125,115 @@ def centroid_refine(
     return ps.coords.compress(mask, axis=0).T @ w / total
 
 
+# Refine loops over at least this many points certify their rows
+# (_ShiftedRow); smaller levels compute every row whole.
+_CERTIFY_MIN_ROWS = 256
+# The certificate decides thresholds t >= _TINY with t + shift + margin
+# <= _HUGE; outside that range the row is computed whole (see _ShiftedRow).
+_TINY = 2.0**-400
+_HUGE = 2.0**500
+
+
+class _ShiftedRow:
+    """The distance row of a level's points at a moving center, as far
+    as threshold tests need it: ``row <= t`` is the mask that
+    ``space.distances(points, center) <= t`` would give, bit for bit.
+
+    It keeps one exact row D, at a reference center; ``at(c)`` moves it
+    to c, and the first test there spends one counted norm on the
+    center's shift s = ||c - ref||.  With the space's rounding allowance
+    delta (``spaces.LpSpace``) and mu = 4 delta, a point is decided at t
+    by the triangle inequality: D <= t - s - mu (t + s) puts it inside,
+    D > t + s + mu (t + s) outside.  Write z_ref, z, sigma for the exact
+    reference distance, distance and shift and tau = 2^-500; then
+    |z - z_ref| <= sigma, and each computed value is within delta of its
+    exact one, relative, plus tau.  Inside: the point's value at c is at
+    most (1 + delta)(z_ref + sigma) + tau <= (1 + 3 delta)(D + s + 2 tau)
+    + tau <= (1 + 3 delta)(1 - 4 delta) t + 4 tau <= t - delta t + 4 tau.
+    Outside: it is at least (1 - 2 delta) D - s - 3 tau > (1 - 2 delta)(1
+    + 4 delta)(t + s) - s - 3 tau >= t + delta (t + s) - 3 tau.  For
+    _TINY <= t both margins exceed the absolute terms and the rounding
+    of the two bounds, and a reference value of inf means z_ref >= 2^510,
+    outside any t + s <= _HUGE.  Only the undecided points get exact
+    values, through ``space.distances``, once per center; when more than
+    half the level would, the whole row is computed at c and becomes
+    the reference.
+    """
+
+    def __init__(self, points: np.ndarray, space: NormedSpaceOps, center: np.ndarray):
+        self.points, self.space = points, space
+        self.mu = 4.0 * space._allowance
+        self._rebase(center)
+
+    def _rebase(self, center: np.ndarray) -> None:
+        self.ref = self.center = center
+        self.ref_row = self.space.distances(self.points, center)
+        self.shift = 0.0
+
+    def at(self, center: np.ndarray) -> "_ShiftedRow":
+        if center is not self.center:
+            self.center, self.shift = center, None
+        return self
+
+    def _shift(self) -> float:
+        if self.shift is None:
+            self.shift = float(self.space.distances(self.center[None, :], self.ref)[0])
+            self.known = np.zeros(self.ref_row.shape, dtype=bool)
+            self.exact = np.empty(self.ref_row.shape)
+        return self.shift
+
+    def _band(self, t: float) -> Optional[tuple[float, float]]:
+        # (lo, hi) of the class note at the current center, or None
+        # after computing the row whole where the note does not apply
+        if _TINY <= t:
+            s = self._shift()
+            margin = self.mu * (t + s)
+            hi = t + s + margin
+            if hi <= _HUGE:
+                return t - s - margin, hi
+        self._rebase(self.center)
+        return None
+
+    def _exact(self, idx: np.ndarray) -> np.ndarray:
+        """Exact row values of the points idx at the current center."""
+        if self.center is self.ref:
+            return self.ref_row[idx]
+        todo = idx[~self.known[idx]]
+        if todo.size:
+            if 2 * (np.count_nonzero(self.known) + todo.size) > self.known.size:
+                self._rebase(self.center)
+                return self.ref_row[idx]
+            self.exact[todo] = self.space.distances(self.points.take(todo, axis=0), self.center)
+            self.known[todo] = True
+        return self.exact[idx]
+
+    def __le__(self, t: float) -> np.ndarray:
+        band = None if self.center is self.ref else self._band(t)
+        if band is None:
+            return self.ref_row <= t
+        inside = self.ref_row <= band[0]
+        maybe = self.ref_row <= band[1]
+        if np.count_nonzero(maybe) > np.count_nonzero(inside):
+            undecided = np.flatnonzero(maybe ^ inside)
+            inside[undecided] = self._exact(undecided) <= t
+        return inside
+
+    def farthest(self, mask: np.ndarray) -> float:
+        """Largest exact row value over the points of a nonempty mask."""
+        top = self.ref_row[mask].max()
+        if self.center is self.ref:
+            return top
+        # a t below the top point's value: points that are at most t
+        # cannot be the farthest, so only the others need exact values
+        s = self._shift()
+        band = self._band(top - s - 2.0 * self.mu * (top + s))
+        if band is None:
+            return self.ref_row[mask].max()
+        if top > band[1]:
+            mask = mask & (self.ref_row > band[0])
+        return self._exact(np.flatnonzero(mask)).max()
+
+
 def _refine_loop(
     points: np.ndarray,
     weights: np.ndarray,
@@ -133,7 +242,7 @@ def _refine_loop(
     alpha: float,
     r: float,
     dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, Union[np.ndarray, _ShiftedRow, None]]:
     # Shrink the containment factor K from 3C+4 down to C, recomputing
     # membership against this level's full point set each iteration.
     # A step whose mask equals the one that produced the current center
@@ -142,9 +251,17 @@ def _refine_loop(
     # outside as K shrinks).  Those steps only shrink K: no norms, no
     # centroid.  dist(c), if given, must equal space.distances(points, c).
     # Returns the center and, when the loop ended on a row it evaluated
-    # for that center, the row; otherwise None.
+    # for that center, the row; otherwise None.  Without dist, a level
+    # of at least _CERTIFY_MIN_ROWS points in a space with a rounding
+    # allowance works on a _ShiftedRow instead, exact at the level's
+    # first center, and returns it, moved to the returned center.
+    row = None
     if dist is None:
-        dist = partial(space.distances, points)
+        if points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
+            row = _ShiftedRow(points, space, center)
+            dist = row.at
+        else:
+            dist = partial(space.distances, points)
     shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
@@ -154,7 +271,7 @@ def _refine_loop(
         mask = d <= K * r
         if mask.tobytes() == used:
             # far <= K*r holds now, so K shrinks at least once
-            far = d[mask].max()
+            far = d[mask].max() if row is None else row.farthest(mask)
             while K > C and far <= K * r:
                 K *= shrink
             if K <= C:
@@ -170,7 +287,7 @@ def _refine_loop(
         center = points.compress(mask, axis=0).T @ w / total
         used = mask.tobytes()
         K *= shrink
-    return center, None
+    return center, None if row is None else row.at(center)
 
 
 def _halfplus_center(
@@ -181,7 +298,7 @@ def _halfplus_center(
     r: float,
     dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gaps: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, Union[np.ndarray, _ShiftedRow, None]]:
     # dist and gaps serve only this level's refine loop and pair
     # reduction (see _refine_loop, _pair_reduce_arrays); the reduced
     # levels below compute their own.  Returns _refine_loop's pair.
@@ -216,5 +333,6 @@ def cluster_halfplus(
     if d is None:
         d = space.distances(ps.coords, center)
     radius = halfplus_constant(alpha) * r
+    # an exact row or a _ShiftedRow: the same mask either way
     covered = float(np.add.reduce(ps.weights[d <= radius]))
     return CandidateBall(center=center, radius=radius, covered_weight=covered)

@@ -233,11 +233,17 @@ def _bracket_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
     < lo; only the band lo <= x <= hi is put in stable order, and its
     running sum starts from that weight.  The band's entry is kept when
     it passes the bracket test of ``_slack``; a row that fails the
-    test, or whose band never reaches target + slack, is NaN.
+    test, or whose band never reaches target + slack, is NaN.  A row
+    that fails only because some running sum lies within the slack of
+    the target (with unit weights and an even count, every row: the
+    median target n/2 is hit exactly) is tried again with zero slack
+    when every sum of w is exact (``_exact_sums``, checked once, on the
+    first such row).
     """
     n, c = v.shape
     total = float(w.sum())
     slack = _slack(c, total)
+    exact = None
     out = np.full(n, math.nan)
     if target + slack >= total:
         return out  # no band's running sum gets past the total by the slack
@@ -257,10 +263,51 @@ def _bracket_rows(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
         band_v = row[band]
         band_order = _stable_order(band_v[None, :])[0]
         run = np.cumsum(np.concatenate(([below], w[band[band_order]])))
-        k = int(np.searchsorted(run, target + slack))
-        if 0 < k < run.size and run[k - 1] < target - slack:
-            out[i] = band_v[band_order[k - 1]]
+        k = _band_pick(run, target, slack)
+        if k < 0:
+            if exact is None:
+                exact = _exact_sums(w, total)
+            if exact:
+                k = _band_pick(run, target, 0.0)
+        if k >= 0:
+            out[i] = band_v[band_order[k]]
     return out
+
+
+def _band_pick(run: np.ndarray, target: float, slack: float) -> int:
+    """Band position of the entry the bracket test vouches for, or -1:
+    the running sum before it is below target - slack and with it at
+    least target + slack."""
+    k = int(np.searchsorted(run, target + slack))
+    return k - 1 if 0 < k < run.size and run[k - 1] < target - slack else -1
+
+
+def _exact_sums(w: np.ndarray, total: float) -> bool:
+    """True when every sum of positive weights w, in any order, is exact.
+
+    That holds when each weight is an integer multiple of one power of
+    two q and the total is below 2^53 q: every partial sum is then such
+    a multiple, representable, so no addition rounds.  Take scale, the
+    power of two with total * scale in [2^52, 2^53); every q that works
+    is a multiple of 1 / scale, so some q works exactly when every
+    w * scale (exact: a power-of-two product below 2^53) is an integer
+    of at least 1.  Unit, integer and dyadic weights pass; a total
+    outside about [2^-960, 2^1000), where scale would not be a normal
+    double, fails.
+    """
+    e = math.frexp(total)[1]
+    if not -960 < e < 1000:
+        return False
+    scale = math.ldexp(1.0, 53 - e)
+    ws = w * scale
+    if ws.min() < 1.0:
+        return False
+    # in place: at 200k weights a second full-size temporary made the
+    # test 1.9 ms instead of 0.55 ms (in process, 2-core x86 host)
+    np.rint(ws, out=ws)
+    ws *= 1.0 / scale
+    ws -= w
+    return not ws.any()
 
 
 def _stable_max(v: np.ndarray) -> np.ndarray:

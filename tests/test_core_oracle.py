@@ -29,7 +29,7 @@ from onecenter import (
     metric_halfplus,
     metric_query_bound,
 )
-from onecenter.oracle import _INF_BITS, _triangle_violation
+from onecenter.oracle import _INF_BITS, _TRIANGLE_ROWS, _triangle_violation
 
 from conftest import TallyOracle, random_metric_matrix
 
@@ -456,6 +456,19 @@ def test_triangle_violation_pinned_cases():
         assert _triangle_violation(m).hex() == _triangle_violation_per_k(m).hex()
     assert _triangle_violation(metric) <= MatrixOracle.TRIANGLE_TOL
     assert _triangle_violation(bad) > 2.0
+
+
+def test_triangle_violation_across_row_chunks():
+    # more rows than one chunk of sums, with the violations in later chunks
+    n = 2 * _TRIANGLE_ROWS + 37
+    metric = random_metric_matrix(np.random.default_rng(6), n)
+    bad = metric.copy()
+    bad[3, n - 2] = bad[n - 2, 3] = bad[3, n - 2] + 1.25
+    bad[_TRIANGLE_ROWS + 1, n - 1] += 0.5
+    bad[n - 1, _TRIANGLE_ROWS + 1] += 0.5
+    for m in (metric, bad):
+        assert _triangle_violation(m).hex() == _triangle_violation_per_k(m).hex()
+    assert _triangle_violation(bad) > 1.0
 
 
 def test_dist_dist_many_and_sweep_are_one_row_dist_block_calls():

@@ -22,6 +22,7 @@ from onecenter import (
     validate_norm_axioms,
     verify_ball,
 )
+from onecenter import normed
 from onecenter.normed import _pair_reduce_arrays, _refine_loop
 from onecenter.spaces import _BLOCK, _pair_gaps
 
@@ -230,12 +231,15 @@ def test_halfplus_norm_rows_are_linear_in_n(alpha):
     Bound, from the code: a level of m > 1 points spends ceil(m/2) rows
     on its pair reduction and hands ceil(m/2) points to the level below;
     a level of one point spends nothing.  Each pass of the level's refine
-    loop evaluates one distance row per point (m rows) and shrinks K by
+    loop evaluates at most one distance row per point (m rows) and shrinks K by
     (1 - eps) at least once, and K needs at most
     refine_iteration_cap(alpha) shrinks to fall from 3C + 4 to C.  So a
     level costs at most ceil(m/2) + cap * m rows; cluster_halfplus adds
     at most n rows for the final coverage.  Summed over the halving
     levels that is about (2 * cap + 2) * n, linear in n for fixed alpha.
+    A level that certifies its rows (normed._ShiftedRow) also spends one
+    norm per centroid step on the center's shift, at most cap a level,
+    and the rows it skips outweigh those many times over here.
     """
     sizes = [1024, 4096, 16384, 65536]
     rows = []
@@ -399,3 +403,141 @@ def test_refine_loop_skips_stationary_steps_at_small_eps():
     assert d is not None
     assert d.tobytes() == LpSpace(2.0, 2).distances(inst.ps.coords, got).tobytes()
 
+
+
+# ---------------------------------------------------------------------------
+# Certified rows: refine loops over at least _CERTIFY_MIN_ROWS points in a
+# space with a rounding allowance decide mask bits from a shifted exact row.
+
+
+class PlainLp(RowCountingLp):
+    """The same norm, stating no rounding allowance: every row is computed."""
+
+    def __init__(self, p, d):
+        super().__init__(p, d)
+        self._allowance = None
+
+
+def _undecided_spy(monkeypatch):
+    """Record how many rows each exact-value request of a _ShiftedRow asks for."""
+    asked = []
+    exact = normed._ShiftedRow._exact
+
+    def spy(self, idx):
+        asked.append(int(idx.size))
+        return exact(self, idx)
+
+    monkeypatch.setattr(normed._ShiftedRow, "_exact", spy)
+    return asked
+
+
+def _ball_bytes(ball):
+    return ball.center.tobytes(), np.float64(ball.radius).tobytes(), np.float64(ball.covered_weight).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64])
+def test_certified_halfplus_matches_the_plain_path_bit_for_bit(p, d):
+    inst = generate_planted("lp", n=3000, d=d, alpha=0.75, r=1.0, seed=d, weights="dyadic", p=p)
+    certified, plain = RowCountingLp(p, d), PlainLp(p, d)
+    got = cluster_halfplus(inst.ps, certified, 0.75, inst.r)
+    want = cluster_halfplus(inst.ps, plain, 0.75, inst.r)
+    assert _ball_bytes(got) == _ball_bytes(want)
+    assert certified.rows < plain.rows
+
+
+def test_certified_halfplus_decides_nearly_every_bit_from_the_shift(monkeypatch):
+    # on a planted set each level's center moves by a small fraction of
+    # K*r after its first pass, so only points near a threshold, or near
+    # the farthest member of a mask, need their own row
+    asked = _undecided_spy(monkeypatch)
+    n = 20000
+    inst = generate_planted("lp", n=n, d=8, alpha=0.75, r=1.0, seed=3, weights="dyadic")
+    certified, plain = RowCountingLp(2.0, 8), PlainLp(2.0, 8)
+    got = cluster_halfplus(inst.ps, certified, 0.75, inst.r)
+    assert _ball_bytes(got) == _ball_bytes(cluster_halfplus(inst.ps, plain, 0.75, inst.r))
+    assert 0 < sum(asked) <= n // 20
+    # the certified levels keep their first pass and the pair gaps: the
+    # rest of the plain path's rows are mostly gone
+    assert certified.rows < 0.6 * plain.rows
+
+
+def _plain_steps(points, weights, space, center, alpha, r):
+    """(center, K*r) of every pass of the loop without skipping."""
+    eps = alpha - 0.5
+    C = halfplus_constant(alpha)
+    K = 3.0 * C + 4.0
+    steps = []
+    while K > C:
+        steps.append((center, K * r))
+        mask = space.distances(points, center) <= K * r
+        total = float(np.sum(weights[mask]))
+        if total <= 0.0:
+            break
+        center = points[mask].T @ weights[mask] / total
+        K *= 1.0 - eps
+    return steps
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("alpha", [0.55, 0.75])
+def test_certified_refine_loop_on_points_within_ulps_of_each_threshold(p, alpha, monkeypatch):
+    # zero-weight points at K*r from each center the plain loop visits:
+    # they cannot move a centroid by more than its last bits, so each
+    # sits within a few ulps of a threshold the certified loop tests
+    rng = np.random.default_rng(int(alpha * 100) + int(min(p, 9)))
+    d = 3
+    inst = generate_planted("lp", n=1000, d=d, alpha=0.7, r=1.0, seed=11, weights="dyadic", p=p)
+    space = LpSpace(p, d)
+    start = inst.centers[0] + 0.05
+    steps = _plain_steps(inst.ps.coords, inst.ps.weights, space, start, alpha, inst.r)
+    dirs = rng.normal(size=(4 * len(steps), d))
+    dirs /= space.norms(dirs)[:, None]
+    ring = np.vstack([c + dirs[4 * i : 4 * i + 4] * t for i, (c, t) in enumerate(steps)])
+    points = np.vstack([inst.ps.coords, ring])
+    weights = np.concatenate([inst.ps.weights, np.zeros(len(ring))])
+    near = [
+        np.abs(space.distances(ring, c) - t) <= 8 * np.spacing(t)
+        for c, t in _plain_steps(points, weights, space, start, alpha, inst.r)
+    ]
+    assert np.count_nonzero(np.any(near, axis=0)) >= len(ring) // 2
+    asked = _undecided_spy(monkeypatch)
+    got, row = _refine_loop(points, weights, space, start, alpha, inst.r)
+    assert got.tobytes() == _naive_refine_loop(points, weights, space, start, alpha, inst.r).tobytes()
+    assert sum(asked) > 0  # the fallback ran
+    exact = space.distances(points, got)
+    for t in np.unique(exact)[::97]:
+        assert (row <= t).tobytes() == (exact <= t).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    d=st.integers(1, 9),
+    scale=st.sampled_from([2.0**-420, 1e-3, 1.0, 1e6, 2.0**450]),
+    moves=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
+    ulps=st.integers(-3, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_shifted_row_masks_equal_the_exact_row(seed, p, d, scale, moves, ulps):
+    # thresholds at a point's exact value, a few ulps off it, and at the
+    # mask's farthest member: decided bits must be the exact ones, and
+    # undecided ones are computed
+    rng = np.random.default_rng(seed)
+    space = LpSpace(p, d)
+    points = rng.normal(size=(300, d)) * scale
+    ref = points[0] + rng.normal(size=d) * scale * 0.1
+    row = normed._ShiftedRow(points, space, ref)
+    center = ref
+    for move in moves:
+        center = center + rng.normal(size=d) * scale * move
+        row.at(center)
+        exact = space.distances(points, center)
+        for k in rng.integers(0, 300, size=3):
+            t = float(exact[k])
+            for _ in range(abs(ulps)):
+                t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
+            mask = row <= t
+            assert mask.tobytes() == (exact <= t).tobytes()
+            if mask.any():
+                assert row.farthest(mask) == exact[mask].max()

@@ -728,3 +728,72 @@ def test_bracketed_median_of_a_strided_column_at_the_shipped_cut_off(monkeypatch
         assert weighted_median(coords[:, k], weights).hex() == want.hex()
         assert want.hex() == _stable_argsort_select(coords[:, k], weights, 0.5 * float(np.sum(weights))).hex()
     assert len(taken) == 3 and not np.isnan(np.concatenate(taken)).any()
+
+
+def _sort_scan_spy(monkeypatch):
+    """Count the rows handed to the full sort and scan."""
+    rows = []
+    sort_scan = selection._sort_scan
+
+    def spy(v, *args):
+        rows.append(v.shape[0])
+        return sort_scan(v, *args)
+
+    monkeypatch.setattr(selection, "_sort_scan", spy)
+    return rows
+
+
+def _exact_weights(kind, rng, cols):
+    if kind == "unit":
+        return np.ones(cols)
+    if kind == "integer":
+        return rng.integers(1, 9, size=cols).astype(np.float64)
+    return rng.integers(512, 1537, size=cols) / 1024.0  # dyadic
+
+
+@pytest.mark.parametrize("kind", ["unit", "integer", "dyadic"])
+def test_bracket_takes_targets_hit_exactly_when_every_sum_is_exact(kind, monkeypatch):
+    # targets equal to a running sum of the stable order, so the band's
+    # sum hits them exactly; with these weights every sum is exact, so
+    # the bracket needs no slack and no row goes to the full scan
+    _bracket_spy(monkeypatch)
+    sent = _sort_scan_spy(monkeypatch)
+    rng = np.random.default_rng(["unit", "integer", "dyadic"].index(kind))
+    for _ in range(6):
+        cols = 2 * int(rng.integers(_LOW_CUT // 2, 2 * _LOW_CUT))
+        values = rng.normal(size=cols)
+        weights = _exact_weights(kind, rng, cols)
+        prefix = np.cumsum(weights[np.argsort(values, kind="stable")])
+        for target in (0.5 * float(np.sum(weights)), float(prefix[int(rng.integers(cols // 4, 3 * cols // 4))])):
+            want = _full_scan(monkeypatch, lambda: smallest_radius_at_weight(values, weights, target))
+            assert want.hex() == _stable_argsort_select(values, weights, target).hex()
+            sent.clear()
+            assert smallest_radius_at_weight(values, weights, target).hex() == want.hex()
+            assert sent == []
+
+
+def test_unit_weight_median_of_an_even_count_stays_in_the_bracket(monkeypatch):
+    # the shipped cut-off: n/2 is always some running sum of unit weights
+    sent = _sort_scan_spy(monkeypatch)
+    rng = np.random.default_rng(23)
+    n = selection._BRACKET_MIN_COLS + 122
+    values = rng.normal(size=n)
+    weights = np.ones(n)
+    got = weighted_median(values, weights)
+    assert sent == []
+    assert got.hex() == _stable_argsort_select(values, weights, n / 2).hex()
+
+
+def test_exact_sums_needs_one_power_of_two_quantum_below_2_to_the_53():
+    def exact(w):
+        w = np.asarray(w, dtype=np.float64)
+        return selection._exact_sums(w, float(np.sum(w)))
+
+    assert exact([1.0, 3.0, 0.5, 0.25])
+    assert exact([2.0**-900, 3 * 2.0**-900])
+    assert exact([2.0**900, 2.0**901])
+    assert not exact([2.0**-1000, 3 * 2.0**-1000])  # scale out of range: no claim
+    assert not exact([0.1, 0.2])
+    assert not exact([2.0**53, 1.0])  # the total needs 54 bits
+    assert not exact([1.0, 2.0**-53])
+    assert not exact([2.0**-1074, 1.0])

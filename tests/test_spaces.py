@@ -1,7 +1,8 @@
-"""Column kernels: pinned to the first formula in every layout, blocked difference batches, dimension checks, the norms hook."""
+"""Column kernels: pinned to the first formula in every layout, blocked difference batches, dimension checks, the norms hook, the rounding allowance."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,3 +219,66 @@ def test_norm_is_the_one_row_norms_call_bit_for_bit(space):
             assert space.norm(v).hex() == float(space.norms(v[None, :])[0]).hex()
     with pytest.raises(ArgumentError, match="vector of length"):
         space.norm(np.zeros(space.d + 1))
+
+
+def _within_allowance(value, terms, p, rel, tau):
+    """Whether a computed row value is within rel (relative) plus tau of
+    the exact l_p norm of the exact difference terms (Fractions)."""
+    v = Fraction(value)
+    if p != 2.0:
+        z = max(abs(t) for t in terms) if math.isinf(p) else sum(abs(t) for t in terms)
+        return abs(v - z) <= rel * z + tau
+    sq = sum(t * t for t in terms)  # compare squares: sqrt(sq) is not a Fraction
+    upper = v - tau <= 0 or (v - tau) ** 2 <= (1 + rel) ** 2 * sq
+    return upper and (1 - rel) ** 2 * sq <= (v + tau) ** 2
+
+
+@given(
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    d=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.integers(-1074, 440),
+    spread=st.integers(0, 60),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_values_are_within_an_eighth_of_the_stated_allowance(p, d, seed, low, spread):
+    # coordinates of mixed magnitudes, subnormal ones included, so that
+    # differences, sums and (for p = 2) squares round or underflow; none
+    # overflows, which the allowance does not cover
+    rng = np.random.default_rng(seed)
+    top = min(low + spread, 440)
+    points = rng.normal(size=(12, d)) * np.exp2(rng.integers(low, top + 1, size=(12, d)))
+    center = rng.normal(size=d) * np.exp2(rng.integers(low, top + 1, size=d))
+    space = LpSpace(p, d)
+    rel = Fraction(space._allowance) / 8
+    tau = Fraction(2) ** -500
+    values = space.distances(points, center)
+    for x, value in zip(points, values):
+        terms = [Fraction(a) - Fraction(b) for a, b in zip(x.tolist(), center.tolist())]
+        assert _within_allowance(float(value), terms, p, rel, tau), (p, d, value)
+
+
+def test_allowance_is_stated_for_p_1_2_inf_only_and_inherited():
+    eps = np.finfo(np.float64).eps
+    for p in (1.0, 2.0, math.inf):
+        assert LpSpace(p, 5)._allowance == 4 * 9 * eps
+        assert RowCountingLp(p, 5)._allowance == 4 * 9 * eps
+    for space in (LpSpace(1.5, 5), LpSpace(3.0, 5), OperatorNormSpace(2)):
+        assert space._allowance is None
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_norms_of_more_than_one_block_equal_blocked_distances(p, layout):
+    rng = np.random.default_rng(int(min(p, 9)))
+    vs = rng.normal(size=(2 * spaces._BLOCK + 5, 7)) * 3.0
+    if layout == "F":
+        vs = np.asfortranarray(vs)
+    elif layout == "strided":
+        vs = np.ascontiguousarray(np.repeat(vs, 2, axis=1))[:, ::2]
+    before = vs.copy()
+    space = LpSpace(p, 7)
+    got = space.norms(vs)
+    assert got.tobytes() == space.distances(vs, np.zeros(7)).tobytes()
+    assert got.tobytes() == np.concatenate([space.norms(vs[lo : lo + 1000]) for lo in range(0, len(vs), 1000)]).tobytes()
+    assert np.array_equal(vs, before)
