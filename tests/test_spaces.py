@@ -171,15 +171,16 @@ def test_distances_on_a_long_c_batch_allocate_no_m_by_d_difference(p):
 
 
 def test_solver_row_counts_past_one_block_are_unchanged():
-    # pinned from the single-call kernels: blocks split batches, never rows
+    # blocks split batches, never rows; pinned with the refine loop's
+    # certified rows (51,766 when every refine pass computed its row)
     inst = generate_planted("lp", n=9000, d=3, alpha=0.75, seed=4, weights="dyadic")
     space = RowCountingLp(2.0, 3)
     cluster_halfplus(inst.ps, space, 0.75, inst.r)
-    assert space.rows == 51766
+    assert space.rows == 27457
     x = lp_coordinate_median(inst.ps, space, 0.75)
-    assert space.rows == 51766  # selection only
+    assert space.rows == 27457  # selection only
     space.distances(inst.ps.coords, x)
-    assert space.rows == 51766 + 9000
+    assert space.rows == 27457 + 9000
 
 
 @pytest.mark.parametrize("p", P_VALUES)
