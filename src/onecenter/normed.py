@@ -177,7 +177,8 @@ class _ShiftedRow:
 
     def _shift(self) -> float:
         if self.shift is None:
-            self.shift = float(self.space.distances(self.center[None, :], self.ref)[0])
+            # the one-row distances call, without its argument checks
+            self.shift = float(self.space.norms((self.center - self.ref)[None, :])[0])
             self.known = np.zeros(self.ref_row.shape, dtype=bool)
             self.exact = np.empty(self.ref_row.shape)
         return self.shift

@@ -151,7 +151,6 @@ def _triangle_violation(m: np.ndarray) -> float:
     return worst
 
 
-
 class MatrixOracle(DistanceOracle):
     """Oracle backed by an explicit n x n distance matrix.
 

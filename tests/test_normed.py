@@ -514,7 +514,7 @@ def test_certified_refine_loop_on_points_within_ulps_of_each_threshold(p, alpha,
     seed=st.integers(0, 2**32 - 1),
     p=st.sampled_from([1.0, 2.0, math.inf]),
     d=st.integers(1, 9),
-    scale=st.sampled_from([2.0**-420, 1e-3, 1.0, 1e6, 2.0**450]),
+    scale=st.sampled_from([2.0**-420, 1e-3, 1.0, 1e6, 2.0**450, 2.0**498]),
     moves=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
     ulps=st.integers(-3, 3),
 )
