@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: solve, verify, cover, bench, gen, opnorm-demo, baseline.
-Each ``cmd_*`` function maps the parsed arguments to ``(report,
-verified)`` and writes nothing; ``main`` alone stamps the report's
+``solve`` and ``bench`` dispatch through one table, ``_SOLVERS``: it
+maps each --solver name to the spaces it runs on, each entry returns
+its solver's report fields, and ``solve --help`` lists it.  Each
+``cmd_*`` function maps the parsed arguments to ``(report, verified)``
+and writes nothing; ``main`` alone stamps the report's
 ``schema_version`` and ``wall_time_s``, writes it as one JSON document
 to stdout (or --output), sends diagnostics to stderr and picks the exit
 code: 0 verified success, 1 usage or IO error, 2 no solution or failed
@@ -138,13 +141,15 @@ def _seed(text: str) -> int:
     return value
 
 
-def _ball_fields(ball: CandidateBall, covered: float, total: float) -> dict:
+def _ball_fields(ps, ball: CandidateBall, covered: float | None = None, **fields) -> dict:
+    covered = ball.covered_weight if covered is None else covered
     return {
         "center": _center_json(ball.center),
         "center_index": ball.center_index,
         "radius": ball.radius,
         "covered_weight": covered,
-        "fraction_achieved": covered / total,
+        "fraction_achieved": covered / ps.total_weight,
+        **fields,
     }
 
 
@@ -157,112 +162,97 @@ def _cover_fields(C: int, cover, oracle) -> dict:
     }
 
 
-# Solvers by --solver name.  Each entry looks its solver up in this
-# module's globals when called, so a wrapper swapped into the module
-# attribute (as perfbench's tracer does) sees every call.
-METRIC_SOLVERS = {
-    "halfplus": lambda ps, oracle, alpha, C: metric_halfplus(ps, oracle, alpha, C),
-    "brute-force": lambda ps, oracle, alpha, C: brute_force_best(ps, oracle, alpha),
-    "cover": lambda ps, oracle, alpha, C: metric_cover(ps, oracle, alpha, C),
-    "quadratic": lambda ps, oracle, alpha, C: metric_quadratic(ps, oracle, alpha),
-}
-# name -> (ps, ops, alpha, r, k) -> (ball or None, approximation constant)
-NORMED_SOLVERS = {
-    "halfplus": lambda ps, ops, alpha, r, k: (cluster_halfplus(ps, ops, alpha, r), halfplus_constant(alpha)),
-    "any-alpha": lambda ps, ops, alpha, r, k: (
-        cluster_any_alpha(ps, ops, alpha, r),
-        any_alpha_constant(alpha),
-    ),
-    "logtower": lambda ps, ops, alpha, r, k: (
-        cluster_logtower(ps, ops, alpha, k, r),
-        logtower_constant(alpha, k),
-    ),
-}
+def _cover_report(C: int, cover, oracle) -> dict:
+    return {**_cover_fields(C, cover, oracle), "fraction": cover.fraction, "verified": len(cover.centers) > 0}
 
 
-def _lookup(table: dict, solver: str, space: str):
-    if solver in table:
-        return table[solver]
-    if solver == "lp-median" or solver in METRIC_SOLVERS or solver in NORMED_SOLVERS:
-        raise UsageError(f"solver {solver!r} does not run on {space} input")
-    raise UsageError(f"unknown solver {solver!r}")
+def _metric_halfplus(ps, oracle, args, inst) -> dict:
+    ball = metric_halfplus(ps, oracle, args.alpha, args.C)
+    ok = _meets_fraction(ball.covered_weight, args.alpha, ps.total_weight, args.verify_tol)
+    return _ball_fields(ps, ball, query_count=oracle.query_count, C=args.C, approx_constant=2.0 * args.C, verified=ok)
 
 
-def _normed_single(solve, ps, ops, alpha: float, r: float, args):
-    """``solve`` at r; under --search-r, at r, 2r, 4r, ... until its ball verifies.
-
-    Returns (ball, constant, radius, verify_ball's (ok, covered) for the
-    ball, or None when there is no ball).
-    """
-    radius = r
-    for _ in range(_SEARCH_R_CAP if args.search_r else 1):
-        ball, constant = solve(ps, ops, alpha, radius, args.k)
-        check = None
-        if ball is not None:
-            check = verify_ball(ps, ops, ball.center, ball.radius, alpha, rel_tol=args.verify_tol)
-        if not args.search_r or (check is not None and check[0]):
-            return ball, constant, radius, check
-        radius *= 2.0
-    raise NoSolution(f"radius search gave up after {_SEARCH_R_CAP} doublings from {r}")
+def _brute_force(ps, oracle, args, inst) -> dict:
+    ball = brute_force_best(ps, oracle, args.alpha)
+    return _ball_fields(ps, ball, query_count=oracle.query_count, approx_constant=1.0, verified=True)
 
 
-def _solve_metric(doc: dict, solver: str, ps, oracle, args, inst) -> bool:
-    if args.r is not None or args.search_r:
-        raise UsageError("metric solvers take no --r; they find the radius themselves")
-    alpha, C = args.alpha, args.C
-    result = _lookup(METRIC_SOLVERS, solver, "metric")(ps, oracle, alpha, C)
-    if solver in ("cover", "quadratic"):
-        doc.update(_cover_fields(1 if solver == "quadratic" else C, result, oracle))
-        doc.update(fraction=result.fraction, verified=len(result.centers) > 0)
-        return doc["verified"]
-    total = ps.total_weight
-    doc.update(_ball_fields(result, result.covered_weight, total), query_count=oracle.query_count)
-    if solver == "brute-force":
-        doc.update(approx_constant=1.0, verified=True)
-    else:
-        verified = _meets_fraction(result.covered_weight, alpha, total, args.verify_tol)
-        doc.update(C=C, approx_constant=2.0 * C, verified=verified)
-    return doc["verified"]
-
-
-def _solve_coords(doc: dict, solver: str, ps, ops, args, inst) -> bool:
-    alpha = args.alpha
-    if solver == "lp-median":
-        if doc["space"] != "lp":
-            raise UsageError("lp-median runs under --space lp")
-        x = lp_coordinate_median(ps, ops, alpha)
-        radius = weighted_quantile_radius(ops.distances(ps.coords, x), ps.weights, alpha)
-        ok, covered = verify_ball(ps, ops, x, radius, alpha, rel_tol=args.verify_tol)
-        finite_p = not math.isinf(ops.p)
-        constant = lp_median_bound(alpha, ops.p) + 1.0 if finite_p else None
-        doc.update(_ball_fields(CandidateBall(x, radius, covered), covered, ps.total_weight))
-        doc.update(p=ops.p if finite_p else "inf", approx_constant=constant)
-        doc.update(query_count=None, verified=bool(ok))
-        r = _resolve_r(args, inst)
-        if r is not None and finite_p:
-            doc["bound_radius"] = constant * r
-        return ok
-    solve = _lookup(NORMED_SOLVERS, solver, doc["space"])
+def _lp_median(ps, ops, args, inst) -> dict:
+    x = lp_coordinate_median(ps, ops, args.alpha)
+    radius = weighted_quantile_radius(ops.distances(ps.coords, x), ps.weights, args.alpha)
+    ok, covered = verify_ball(ps, ops, x, radius, args.alpha, rel_tol=args.verify_tol)
+    finite_p = not math.isinf(ops.p)
+    constant = lp_median_bound(args.alpha, ops.p) + 1.0 if finite_p else None
     r = _resolve_r(args, inst)
-    if r is None:
-        raise UsageError(f"solver {solver!r} requires --r (the assumed inlier radius)")
-    ball, constant, used_r, check = _normed_single(solve, ps, ops, alpha, r, args)
-    if ball is None:
-        doc.update({"r": used_r, "verified": False, "found": False})
-        return False
-    ok, covered = check
-    doc.update(_ball_fields(ball, covered, ps.total_weight))
-    doc.update(r=used_r, k=args.k if solver == "logtower" else None, approx_constant=constant)
-    doc.update(query_count=None, verified=bool(ok))
-    return ok
+    fields = dict(p=ops.p if finite_p else "inf", approx_constant=constant, query_count=None, verified=ok)
+    if r is not None and finite_p:
+        fields["bound_radius"] = constant * r
+    return _ball_fields(ps, CandidateBall(x, radius, covered), **fields)
+
+
+def _normed(solve, reports_k: bool = False) -> dict:
+    """Entries on lp and normed input that run ``solve(ps, ops, alpha, r, k) -> (ball or None,
+    constant)`` at --r; under --search-r, at r, 2r, 4r, ... until its ball verifies."""
+
+    def run(ps, ops, args, inst) -> dict:
+        r = _resolve_r(args, inst)
+        if r is None:
+            raise UsageError("this solver requires --r (the assumed inlier radius)")
+        for radius in (r * 2.0**i for i in range(_SEARCH_R_CAP if args.search_r else 1)):
+            ball, constant = solve(ps, ops, args.alpha, radius, args.k)
+            if ball is not None:
+                ok, covered = verify_ball(ps, ops, ball.center, ball.radius, args.alpha, rel_tol=args.verify_tol)
+            if not args.search_r or ball is not None and ok:
+                break
+        else:
+            raise NoSolution(f"radius search gave up after {_SEARCH_R_CAP} doublings from {r}")
+        if ball is None:
+            return {"r": radius, "verified": False, "found": False}
+        k = args.k if reports_k else None
+        return _ball_fields(ps, ball, covered, r=radius, k=k, approx_constant=constant, query_count=None, verified=ok)
+
+    return {"lp": run, "normed": run}
+
+
+# --solver name -> {space: run(ps, ops_or_oracle, args, inst) -> report fields}.
+# Each entry looks its solver up in this module's globals when called, so
+# a wrapper swapped into the module attribute (as perfbench's tracer does)
+# sees every call.
+_SOLVERS = {
+    "lp-median": {"lp": _lp_median},
+    "halfplus": _normed(lambda ps, ops, alpha, r, k: (cluster_halfplus(ps, ops, alpha, r), halfplus_constant(alpha)))
+    | {"metric": _metric_halfplus},
+    "any-alpha": _normed(
+        lambda ps, ops, alpha, r, k: (cluster_any_alpha(ps, ops, alpha, r), any_alpha_constant(alpha))
+    ),
+    "logtower": _normed(
+        lambda ps, ops, alpha, r, k: (cluster_logtower(ps, ops, alpha, k, r), logtower_constant(alpha, k)),
+        reports_k=True,
+    ),
+    "cover": {
+        "metric": lambda ps, oracle, args, inst: _cover_report(
+            args.C, metric_cover(ps, oracle, args.alpha, args.C), oracle
+        )
+    },
+    "quadratic": {
+        "metric": lambda ps, oracle, args, inst: _cover_report(1, metric_quadratic(ps, oracle, args.alpha), oracle)
+    },
+    "brute-force": {"metric": _brute_force},
+}
 
 
 def cmd_solve(args) -> tuple[dict, bool]:
     space, ps, backend, inst = _load_input(args)
     solver = args.solver or {"lp": "lp-median", "normed": "halfplus", "metric": "cover"}[space]
+    if solver not in _SOLVERS:
+        raise UsageError(f"unknown solver {solver!r}")
+    if space not in _SOLVERS[solver]:
+        raise UsageError(f"solver {solver!r} does not run on {space} input")
+    if space == "metric" and (args.r is not None or args.search_r):
+        raise UsageError("metric solvers take no --r; they find the radius themselves")
     doc: dict = {"command": "solve", "space": space, "solver": solver, "alpha": args.alpha, "n": ps.n}
-    solve = _solve_metric if space == "metric" else _solve_coords
-    return doc, solve(doc, solver, ps, backend, args, inst)
+    doc.update(_SOLVERS[solver][space](ps, backend, args, inst))
+    return doc, doc["verified"]
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
@@ -326,12 +316,11 @@ def cmd_bench(args) -> tuple[dict, bool]:
         raise UsageError("bench sizes must be strictly increasing")
     if not 0.5 < args.alpha <= 1.0:
         raise UsageError("bench uses the above-half metric solver; pass alpha in (1/2, 1]")
-    solve = METRIC_SOLVERS[args.solver]
     rows = []
     for n in sizes:
         inst = generate_planted("metric", n=n, d=args.d, alpha=args.alpha, seed=args.seed + n, weights="unit")
         oracle = MatrixOracle(inst.matrix, validate="none")
-        solve(inst.ps, oracle, args.alpha, args.C)
+        _SOLVERS[args.solver]["metric"](inst.ps, oracle, args, None)
         rows.append({"n": n, "queries": oracle.query_count})
     slope, intercept = np.polyfit(
         np.log([row["n"] for row in rows]), np.log([row["queries"] for row in rows]), 1
@@ -455,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--solver",
         default=None,
-        help=(
-            f"lp: lp-median; lp or normed: {' | '.join(NORMED_SOLVERS)}; "
-            f"metric: {' | '.join(METRIC_SOLVERS)}"
+        help="; ".join(
+            f"{space}: {' | '.join(name for name, row in _SOLVERS.items() if space in row)}"
+            for space in ("lp", "normed", "metric")
         ),
     )
     sp.add_argument("--r", type=float, default=None, help="assumed inlier radius (normed solvers)")

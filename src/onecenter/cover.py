@@ -59,8 +59,14 @@ def verify_factor(alpha: float) -> float:
 
 
 def any_alpha_constant(alpha: float) -> float:
-    """Worst-case radius multiple of cluster_any_alpha at fraction alpha."""
-    return verify_factor(alpha) * scale_base(alpha) ** scale_count(alpha)
+    """Worst-case radius multiple of cluster_any_alpha at fraction alpha; ArgumentError unless a finite double."""
+    try:
+        c = verify_factor(alpha) * scale_base(alpha) ** scale_count(alpha)
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:  # from alpha = 1e-7 down
+        raise ArgumentError(f"approximation constant overflows floats at alpha={alpha}; use a larger alpha")
+    return c
 
 
 def bucket_constant(C: float) -> float:
@@ -334,6 +340,7 @@ def cluster_any_alpha(
     require_radius(r)
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
+    any_alpha_constant(alpha)  # refuse a constant past the double range before any norm row
     points, weights = _pad_pow2(ps.coords, ps.weights)
     w = ps.total_weight
     beta = alpha / 2.0
@@ -484,13 +491,19 @@ def _iterated_bucket_fn(f, times: int):
 
 
 def logtower_constant(beta: float, k: int) -> float:
-    """Composed approximation constant reported by cluster_logtower."""
+    """Composed approximation constant reported by cluster_logtower; ArgumentError unless a finite double."""
     k = require_int("k", k, 0)
     if k == 0:
         return any_alpha_constant(beta)
-    c = any_alpha_constant(logtower_base_fraction(beta, k))
+    base_fraction = logtower_base_fraction(beta, k)
+    try:
+        c = any_alpha_constant(base_fraction)
+    except ArgumentError:  # past the double range, or a base fraction that underflowed to 0
+        c = math.inf
     for _ in range(k):
         c = bucket_constant(c)
+    if c == math.inf:
+        raise ArgumentError(f"approximation constant overflows floats at beta={beta}, k={k}; use a smaller k")
     return c
 
 
@@ -513,6 +526,7 @@ def cluster_logtower(
     require_pairing(ps, space, (NormedSpaceOps,))
     if k == 0:
         return cluster_any_alpha(ps, space, beta, r)
+    logtower_constant(beta, k)  # refuse a constant past the double range before any norm row
     base_fraction = logtower_base_fraction(beta, k)
     exponent = int(math.floor(2.0 / base_fraction))
     f = _polylog_fn(exponent)
@@ -520,10 +534,6 @@ def cluster_logtower(
     for j in range(1, k + 1):
         g = _iterated_bucket_fn(f, 2 ** (j - 1))
         stage = _bucket_stage(space, stage, g)
-    if not math.isfinite(stage.constant):
-        raise ArgumentError(
-            f"composed approximation constant overflows floats at beta={beta}, k={k}; use a smaller k"
-        )
     return stage.solve(ps, beta, r)
 
 

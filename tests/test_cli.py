@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from onecenter import ArgumentError, las_vegas_baseline, verify_ball
-from onecenter.cli import METRIC_SOLVERS, NORMED_SOLVERS, main
+from onecenter import cli
+from onecenter.cli import main
 from onecenter.formats import save_instance, write_matrix, write_points_csv
 from onecenter.generate import generate_planted
 from onecenter.normed import halfplus_constant
@@ -207,7 +208,7 @@ def test_solve_help_names_every_table_solver(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping inside a name
     assert main(["solve", "--help"]) == 0
     help_text = capsys.readouterr().out
-    for name in ["lp-median", *NORMED_SOLVERS, *METRIC_SOLVERS]:
+    for name in cli._SOLVERS:
         assert name in help_text
 
 
@@ -230,6 +231,15 @@ def test_csv_weights_with_overflowing_total_exit_1(tmp_path, capsys, solver):
     assert code == 1
     assert doc is None
     assert "finite" in err
+
+
+def test_logtower_constant_past_the_double_range_exits_1(tmp_path, capsys):
+    path = tmp_path / "gap.json"
+    save_instance(str(path), generate_planted("normed", n=64, d=2, alpha=0.3, seed=3, mode="gap"))
+    argv = ["solve", "--input", str(path), "--solver", "logtower", "--k", "4", "--alpha", "0.3", "--r", "1"]
+    code, out, err = _run_raw(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
 
 
 def test_unverifiable_normed_run_exits_2(tmp_path, capsys):

@@ -321,13 +321,22 @@ def test_logtower_single_stage_on_planted_instance():
 
 def test_logtower_overflow_guard():
     ps = WeightedPointSet.from_coords(np.zeros((16, 2)))
-    space = LpSpace(2.0, 2)
-    with pytest.raises(ArgumentError):
-        cluster_logtower(ps, space, 0.5, 3, 1.0)
-    with pytest.raises(ArgumentError):
-        cluster_logtower(ps, space, 0.5, -1, 1.0)
-    with pytest.raises(ArgumentError):
-        cluster_logtower(ps, space, 1.5, 1, 1.0)
+    calls = [
+        lambda space: cluster_logtower(ps, space, 0.5, 3, 1.0),
+        lambda space: cluster_logtower(ps, space, 0.5, -1, 1.0),
+        lambda space: cluster_logtower(ps, space, 1.5, 1, 1.0),
+        # the composed constant overflows at k = 4; at k = 20 the base fraction underflows to 0
+        lambda space: cluster_logtower(ps, space, 0.6, 4, 1.0),
+        lambda space: cluster_logtower(ps, space, 0.6, 20, 1.0),
+        # (8/alpha + 7)^scale_count overflows at 1e-8; times verify_factor it is inf at 1e-7
+        lambda space: cluster_any_alpha(ps, space, 1e-8, 1.0),
+        lambda space: cluster_any_alpha(ps, space, 1e-7, 1.0),
+    ]
+    for call in calls:
+        space = RowCountingLp(2.0, 2)
+        with pytest.raises(ArgumentError):
+            call(space)
+        assert space.rows == 0
 
 
 @pytest.mark.parametrize("k", [1, 2])

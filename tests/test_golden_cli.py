@@ -34,7 +34,7 @@ from onecenter.generate import generate_planted
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
-SOLVERS = (None, "lp-median", "halfplus", "any-alpha", "logtower", "cover", "quadratic", "brute-force", "bogus")
+SOLVERS = (None, *cli._SOLVERS, "bogus")
 SPACES = (None, "lp", "normed", "metric")
 ALPHAS = ("0.75", "0.55", "0.4", "1.5")
 SOLVE_EXTRAS = (["--C", "1"], ["--r", "1.5"], ["--search-r"], ["--r", "1.5", "--search-r"], ["--k", "1"], ["--p", "inf"])
