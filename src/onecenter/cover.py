@@ -249,8 +249,6 @@ def _below_half_centers(
         u, du = _halfplus_center(
             points, np.where(near, weights, 0.0), space, fraction, r, dist, gaps
         )
-        if du is None:
-            du = dist(u)
         if float(np.add.reduce(weights[du <= C * r])) >= y:
             hit = (u, du)
             break

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -117,12 +117,10 @@ def centroid_refine(
         raise ArgumentError(f"K must be at least 2 + 1/eps = {2 + 1/eps}, got {K}")
     require_pairing(ps, space, (NormedSpaceOps,))
     a = np.asarray(a, dtype=np.float64)
-    mask = space.distances(ps.coords, a) <= K * r
-    w = ps.weights[mask]
-    total = float(np.sum(w))
-    if total <= 0.0:
+    c = _centroid(ps.coords, ps.weights, space.distances(ps.coords, a) <= K * r)
+    if c is None:
         raise DegenerateInputError("no weight within K*r of the current center")
-    return ps.coords.compress(mask, axis=0).T @ w / total
+    return c
 
 
 # Refine loops over at least this many points certify their rows
@@ -139,11 +137,13 @@ class _ShiftedRow:
     as threshold tests need it: ``row <= t`` is the mask that
     ``space.distances(points, center) <= t`` would give, bit for bit.
 
-    It keeps one exact row D, at a reference center; ``at(c)`` moves it
-    to c, and the first test there spends one counted norm on the
-    center's shift s = ||c - ref||.  With the space's rounding allowance
-    delta (``spaces.LpSpace``) and mu = 4 delta, a point is decided at t
-    by the triangle inequality: D <= t - s - mu (t + s) puts it inside,
+    It keeps one exact row D, at a reference center, from ``rows(c)``
+    (``space.distances(points, c)`` unless given); ``at(c)`` moves it to
+    c.  With no mu the first test at c computes the row there whole.
+    With mu = 4 delta, delta the space's rounding allowance
+    (``spaces.LpSpace``), the first test at c spends one counted norm on
+    the center's shift s = ||c - ref||, and a point is decided at t by
+    the triangle inequality: D <= t - s - mu (t + s) puts it inside,
     D > t + s + mu (t + s) outside.  Write z_ref, z, sigma for the exact
     reference distance, distance and shift and tau = 2^-500; then
     |z - z_ref| <= sigma, and each computed value is within delta of its
@@ -154,85 +154,75 @@ class _ShiftedRow:
     + 4 delta)(t + s) - s - 3 tau >= t + delta (t + s) - 3 tau.  For
     _TINY <= t both margins exceed the absolute terms and the rounding
     of the two bounds, and a reference value of inf means z_ref >= 2^510,
-    outside any t + s <= _HUGE.  Only the undecided points get exact
-    values, through ``space.distances``, once per center; when more than
-    half the level would, the whole row is computed at c and becomes
-    the reference.
+    outside any t + s <= _HUGE; other t get the whole row.  Only the
+    undecided points get exact values, through ``space.distances``, once
+    per center; when more than half the level would, the whole row is
+    computed at c and becomes the reference.
     """
 
-    def __init__(self, points: np.ndarray, space: NormedSpaceOps, center: np.ndarray):
-        self.points, self.space = points, space
-        self.mu = 4.0 * space._allowance
+    def __init__(
+        self,
+        points: np.ndarray,
+        space: NormedSpaceOps,
+        center: np.ndarray,
+        rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        mu: Optional[float] = None,
+    ):
+        self.points, self.space, self.mu = points, space, mu
+        self.rows = partial(space.distances, points) if rows is None else rows
         self._rebase(center)
 
-    def _rebase(self, center: np.ndarray) -> None:
+    def _rebase(self, center: np.ndarray) -> np.ndarray:
         self.ref = self.center = center
-        self.ref_row = self.space.distances(self.points, center)
-        self.shift = 0.0
+        self.ref_row = self.rows(center)
+        return self.ref_row
 
-    def at(self, center: np.ndarray) -> "_ShiftedRow":
+    def at(self, center: np.ndarray) -> None:
         if center is not self.center:
             self.center, self.shift = center, None
-        return self
-
-    def _shift(self) -> float:
-        if self.shift is None:
-            # the one-row distances call, without its argument checks
-            self.shift = float(self.space.norms((self.center - self.ref)[None, :])[0])
-            self.known = np.zeros(self.ref_row.shape, dtype=bool)
-            self.exact = np.empty(self.ref_row.shape)
-        return self.shift
-
-    def _band(self, t: float) -> Optional[tuple[float, float]]:
-        # (lo, hi) of the class note at the current center, or None
-        # after computing the row whole where the note does not apply
-        if _TINY <= t:
-            s = self._shift()
-            margin = self.mu * (t + s)
-            hi = t + s + margin
-            if hi <= _HUGE:
-                return t - s - margin, hi
-        self._rebase(self.center)
-        return None
 
     def _exact(self, idx: np.ndarray) -> np.ndarray:
         """Exact row values of the points idx at the current center."""
-        if self.center is self.ref:
-            return self.ref_row[idx]
         todo = idx[~self.known[idx]]
         if todo.size:
             if 2 * (np.count_nonzero(self.known) + todo.size) > self.known.size:
-                self._rebase(self.center)
-                return self.ref_row[idx]
+                return self._rebase(self.center)[idx]
             self.exact[todo] = self.space.distances(self.points.take(todo, axis=0), self.center)
             self.known[todo] = True
         return self.exact[idx]
 
     def __le__(self, t: float) -> np.ndarray:
-        band = None if self.center is self.ref else self._band(t)
-        if band is None:
+        if self.center is self.ref:
             return self.ref_row <= t
-        inside = self.ref_row <= band[0]
-        maybe = self.ref_row <= band[1]
+        if self.mu is None or not _TINY <= t:
+            return self._rebase(self.center) <= t
+        if self.shift is None:
+            # the one-row distances call, without its argument checks
+            self.shift = float(self.space.norms((self.center - self.ref)[None, :])[0])
+            self.known = np.zeros(self.ref_row.shape, dtype=bool)
+            self.exact = np.empty(self.ref_row.shape)
+        s = self.shift
+        margin = self.mu * (t + s)
+        hi = t + s + margin
+        if hi > _HUGE:
+            return self._rebase(self.center) <= t
+        inside = self.ref_row <= t - s - margin
+        maybe = self.ref_row <= hi
         if np.count_nonzero(maybe) > np.count_nonzero(inside):
             undecided = np.flatnonzero(maybe ^ inside)
             inside[undecided] = self._exact(undecided) <= t
         return inside
 
-    def farthest(self, mask: np.ndarray) -> float:
-        """Largest exact row value over the points of a nonempty mask."""
-        top = self.ref_row[mask].max()
-        if self.center is self.ref:
-            return top
-        # a t below the top point's value: points that are at most t
-        # cannot be the farthest, so only the others need exact values
-        s = self._shift()
-        band = self._band(top - s - 2.0 * self.mu * (top + s))
-        if band is None:
-            return self.ref_row[mask].max()
-        if top > band[1]:
-            mask = mask & (self.ref_row > band[0])
-        return self._exact(np.flatnonzero(mask)).max()
+
+def _centroid(points: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> Optional[np.ndarray]:
+    """Weighted centroid of the masked points; None if they weigh nothing."""
+    w = weights[mask]
+    total = float(np.add.reduce(w))
+    if total <= 0.0:
+        return None
+    # compress copies the same rows as points[mask], in the same C order,
+    # so the product sees the same operand
+    return points.compress(mask, axis=0).T @ w / total
 
 
 def _refine_loop(
@@ -242,53 +232,37 @@ def _refine_loop(
     center: np.ndarray,
     alpha: float,
     r: float,
-    dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[np.ndarray, Union[np.ndarray, _ShiftedRow, None]]:
-    # Shrink the containment factor K from 3C+4 down to C, recomputing
-    # membership against this level's full point set each iteration.
-    # A step whose mask equals the one that produced the current center
-    # reproduces that center bit for bit, and the mask cannot change
-    # until K*r drops below its farthest member (points outside it stay
-    # outside as K shrinks).  Those steps only shrink K: no norms, no
-    # centroid.  dist(c), if given, must equal space.distances(points, c).
-    # Returns the center and, when the loop ended on a row it evaluated
-    # for that center, the row; otherwise None.  Without dist, a level
-    # of at least _CERTIFY_MIN_ROWS points in a space with a rounding
-    # allowance works on a _ShiftedRow instead, exact at the level's
-    # first center, and returns it, moved to the returned center.
-    row = None
-    if dist is None:
-        if points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
-            row = _ShiftedRow(points, space, center)
-            dist = row.at
-        else:
-            dist = partial(space.distances, points)
+    rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, _ShiftedRow]:
+    # Shrink the containment factor K from 3C+4 down to C, testing
+    # membership at K*r against this level's full point set each pass.
+    # A pass whose mask equals the one that produced the current center
+    # would reproduce that center bit for bit, so it only shrinks K: no
+    # centroid, and the row stays where it is.  Returns the center and
+    # the level's _ShiftedRow, moved to it.  rows(c), if given, must
+    # equal space.distances(points, c); without it, a level of at least
+    # _CERTIFY_MIN_ROWS points in a space with a rounding allowance
+    # certifies its rows.
+    mu = None
+    if rows is None and points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
+        mu = 4.0 * space._allowance
+    row = _ShiftedRow(points, space, center, rows, mu)
     shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
     used = None  # bytes of the mask that produced the current center
     while K > C:
-        d = dist(center)
-        mask = d <= K * r
-        if mask.tobytes() == used:
-            # far <= K*r holds now, so K shrinks at least once
-            far = d[mask].max() if row is None else row.farthest(mask)
-            while K > C and far <= K * r:
-                K *= shrink
-            if K <= C:
-                return center, d
-            mask = d <= K * r
-        w = weights[mask]
-        total = float(np.add.reduce(w))
-        if total <= 0.0:
-            # no valid ball can exist here; keep the center unrefined
-            return center, d
-        # compress copies the same rows as points[mask], in the same
-        # C order, so the product sees the same operand
-        center = points.compress(mask, axis=0).T @ w / total
-        used = mask.tobytes()
+        mask = row <= K * r
+        if mask.tobytes() != used:
+            moved = _centroid(points, weights, mask)
+            if moved is None:
+                # no valid ball can exist here; keep the center unrefined
+                return center, row
+            center = moved
+            row.at(center)
+            used = mask.tobytes()
         K *= shrink
-    return center, None if row is None else row.at(center)
+    return center, row
 
 
 def _halfplus_center(
@@ -297,12 +271,13 @@ def _halfplus_center(
     space: NormedSpaceOps,
     alpha: float,
     r: float,
-    dist: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gaps: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, Union[np.ndarray, _ShiftedRow, None]]:
-    # dist and gaps serve only this level's refine loop and pair
+) -> tuple[np.ndarray, Optional[_ShiftedRow]]:
+    # rows and gaps serve only this level's refine loop and pair
     # reduction (see _refine_loop, _pair_reduce_arrays); the reduced
-    # levels below compute their own.  Returns _refine_loop's pair.
+    # levels below compute their own.  Returns _refine_loop's pair, or
+    # no row for a single point.
     if points.shape[0] == 1:
         return points[0], None
     reduced_pts, v = _pair_reduce_arrays(points, weights, space, r, gaps)
@@ -312,7 +287,7 @@ def _halfplus_center(
         # every pair cancelled: no radius-r ball can hold more than half
         # the weight, so any survivor is as good a starting point as any
         coarse = reduced_pts[0]
-    return _refine_loop(points, weights, space, coarse, alpha, r, dist)
+    return _refine_loop(points, weights, space, coarse, alpha, r, rows)
 
 
 def cluster_halfplus(
@@ -330,10 +305,9 @@ def cluster_halfplus(
     require_radius(r)
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
-    center, d = _halfplus_center(ps.coords, ps.weights, space, alpha, r)
-    if d is None:
-        d = space.distances(ps.coords, center)
+    center, row = _halfplus_center(ps.coords, ps.weights, space, alpha, r)
+    if row is None:
+        row = space.distances(ps.coords, center)
     radius = halfplus_constant(alpha) * r
-    # an exact row or a _ShiftedRow: the same mask either way
-    covered = float(np.add.reduce(ps.weights[d <= radius]))
+    covered = float(np.add.reduce(ps.weights[row <= radius]))
     return CandidateBall(center=center, radius=radius, covered_weight=covered)

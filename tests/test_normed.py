@@ -271,6 +271,13 @@ def test_lp_spaces_satisfy_norm_axioms():
         validate_norm_axioms(LpSpace(p, 5), samples)
 
 
+def _assert_row_is_exact(row, exact):
+    """row <= t is exact <= t at thresholds on and just below exact values."""
+    values = np.unique(exact)
+    for t in np.concatenate([values[::7], np.nextafter(values[::11], -math.inf), [0.0, math.inf]]):
+        assert (row <= t).tobytes() == (exact <= t).tobytes()
+
+
 def _naive_refine_loop(points, weights, space, center, alpha, r):
     """The refine loop without skipping: one full membership pass per step."""
     eps = alpha - 0.5
@@ -321,14 +328,13 @@ def test_refine_loop_matches_naive_loop_bit_for_bit(case):
     points, weights, center, alpha, p, r = case
     fast_space = RowCountingLp(p, points.shape[1])
     slow_space = RowCountingLp(p, points.shape[1])
-    got, d = _refine_loop(points, weights, fast_space, center, alpha, r)
+    got, row = _refine_loop(points, weights, fast_space, center, alpha, r)
     want = _naive_refine_loop(points, weights, slow_space, center, alpha, r)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert fast_space.rows <= slow_space.rows
-    # a returned row is the returned center's distances, bit for bit
-    if d is not None:
-        assert d.tobytes() == LpSpace(p, points.shape[1]).distances(points, got).tobytes()
+    # the returned row answers threshold tests at the returned center
+    _assert_row_is_exact(row, LpSpace(p, points.shape[1]).distances(points, got))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -394,14 +400,16 @@ def test_refine_loop_skips_stationary_steps_at_small_eps():
     fast_space = RowCountingLp(2.0, 2)
     slow_space = RowCountingLp(2.0, 2)
     start = inst.ps.coords[0]
-    got, d = _refine_loop(inst.ps.coords, inst.ps.weights, fast_space, start, alpha, inst.r)
+    got, row = _refine_loop(inst.ps.coords, inst.ps.weights, fast_space, start, alpha, inst.r)
     want = _naive_refine_loop(inst.ps.coords, inst.ps.weights, slow_space, start, alpha, inst.r)
     assert got.tobytes() == want.tobytes()
     assert slow_space.rows >= 1000 * 64
     assert fast_space.rows * 10 <= slow_space.rows
-    # the loop ends on a stationary step and hands back that step's row
-    assert d is not None
-    assert d.tobytes() == LpSpace(2.0, 2).distances(inst.ps.coords, got).tobytes()
+    # the loop ends on a stationary step and hands back that step's row:
+    # its threshold tests compute nothing more
+    rows = fast_space.rows
+    _assert_row_is_exact(row, LpSpace(2.0, 2).distances(inst.ps.coords, got))
+    assert fast_space.rows == rows
 
 
 
@@ -448,15 +456,16 @@ def test_certified_halfplus_matches_the_plain_path_bit_for_bit(p, d):
 
 def test_certified_halfplus_decides_nearly_every_bit_from_the_shift(monkeypatch):
     # on a planted set each level's center moves by a small fraction of
-    # K*r after its first pass, so only points near a threshold, or near
-    # the farthest member of a mask, need their own row
+    # K*r after its first pass, so only points near a threshold the loop
+    # tests could need their own row; here none does (368 did while
+    # stationary steps looked up each mask's farthest member)
     asked = _undecided_spy(monkeypatch)
     n = 20000
     inst = generate_planted("lp", n=n, d=8, alpha=0.75, r=1.0, seed=3, weights="dyadic")
     certified, plain = RowCountingLp(2.0, 8), PlainLp(2.0, 8)
     got = cluster_halfplus(inst.ps, certified, 0.75, inst.r)
     assert _ball_bytes(got) == _ball_bytes(cluster_halfplus(inst.ps, plain, 0.75, inst.r))
-    assert 0 < sum(asked) <= n // 20
+    assert sum(asked) == 0
     # the certified levels keep their first pass and the pair gaps: the
     # rest of the plain path's rows are mostly gone
     assert certified.rows < 0.6 * plain.rows
@@ -520,14 +529,13 @@ def test_certified_refine_loop_on_points_within_ulps_of_each_threshold(p, alpha,
 )
 @settings(max_examples=150, deadline=None)
 def test_shifted_row_masks_equal_the_exact_row(seed, p, d, scale, moves, ulps):
-    # thresholds at a point's exact value, a few ulps off it, and at the
-    # mask's farthest member: decided bits must be the exact ones, and
-    # undecided ones are computed
+    # thresholds at a point's exact value and a few ulps off it: decided
+    # bits must be the exact ones, and undecided ones are computed
     rng = np.random.default_rng(seed)
     space = LpSpace(p, d)
     points = rng.normal(size=(300, d)) * scale
     ref = points[0] + rng.normal(size=d) * scale * 0.1
-    row = normed._ShiftedRow(points, space, ref)
+    row = normed._ShiftedRow(points, space, ref, mu=4.0 * space._allowance)
     center = ref
     for move in moves:
         center = center + rng.normal(size=d) * scale * move
@@ -537,7 +545,4 @@ def test_shifted_row_masks_equal_the_exact_row(seed, p, d, scale, moves, ulps):
             t = float(exact[k])
             for _ in range(abs(ulps)):
                 t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
-            mask = row <= t
-            assert mask.tobytes() == (exact <= t).tobytes()
-            if mask.any():
-                assert row.farthest(mask) == exact[mask].max()
+            assert (row <= t).tobytes() == (exact <= t).tobytes()
