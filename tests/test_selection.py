@@ -1,10 +1,11 @@
 """Weighted selection: pinned examples, oracle cross-checks, and properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onecenter import (
@@ -163,24 +164,28 @@ def test_selection_rejects_finite_weights_whose_total_overflows():
     ),
     alpha=st.floats(0.01, 1.0),
 )
+@example(data=[(0.0, 0.0), (1.0, 5e-324)], alpha=0.5)  # alpha * total underflows in floats
 @settings(max_examples=200, deadline=None)
 def test_quantile_radius_is_definitional(data, alpha):
     values = np.array([v for v, _ in data])
     weights = np.array([w for _, w in data])
-    total = float(weights.sum())
-    if total <= 0.0:
+    if float(weights.sum()) <= 0.0:
         weights[0] = 1.0
-        total = float(weights.sum())
     got = weighted_quantile_radius(values, weights, alpha)
-    target = alpha * total
+
+    def prefix(t):
+        return sum(map(Fraction, weights[values <= t]), Fraction(0))
+
+    # the target and prefix sums are exact, so none of them rounds or underflows
+    total = prefix(math.inf)
+    target, slack = Fraction(alpha) * total, total / 10**9
     # the returned value is attained and its closed prefix reaches the target
     assert got in values
-    assert float(weights[values <= got].sum()) >= target - 1e-9 * total
+    assert prefix(got) >= target - slack
     # no strictly smaller attained value reaches the target
     smaller = values[values < got]
     if smaller.size:
-        best_below = float(weights[values <= smaller.max()].sum())
-        assert best_below < target + 1e-9 * total
+        assert prefix(smaller.max()) < target + slack
 
 
 def test_kernel_backend_reports_known_name():
