@@ -253,14 +253,14 @@ def _refine_loop(
     used = None  # bytes of the mask that produced the current center
     while K > C:
         mask = row <= K * r
-        if mask.tobytes() != used:
+        key = mask.tobytes()
+        if key != used:
             moved = _centroid(points, weights, mask)
             if moved is None:
                 # no valid ball can exist here; keep the center unrefined
                 return center, row
-            center = moved
+            center, used = moved, key
             row.at(center)
-            used = mask.tobytes()
         K *= shrink
     return center, row
 

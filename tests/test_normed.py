@@ -457,8 +457,7 @@ def test_certified_halfplus_matches_the_plain_path_bit_for_bit(p, d):
 def test_certified_halfplus_decides_nearly_every_bit_from_the_shift(monkeypatch):
     # on a planted set each level's center moves by a small fraction of
     # K*r after its first pass, so only points near a threshold the loop
-    # tests could need their own row; here none does (368 did while
-    # stationary steps looked up each mask's farthest member)
+    # tests could need their own row; here none does
     asked = _undecided_spy(monkeypatch)
     n = 20000
     inst = generate_planted("lp", n=n, d=8, alpha=0.75, r=1.0, seed=3, weights="dyadic")
