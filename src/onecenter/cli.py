@@ -322,9 +322,12 @@ def cmd_bench(args) -> tuple[dict, bool]:
         oracle = MatrixOracle(inst.matrix, validate="none")
         _SOLVERS[args.solver]["metric"](inst.ps, oracle, args, None)
         rows.append({"n": n, "queries": oracle.query_count})
-    slope, intercept = np.polyfit(
-        np.log([row["n"] for row in rows]), np.log([row["queries"] for row in rows]), 1
-    )
+    # least squares in Python floats, so the fit's bits do not depend on the host's BLAS or LAPACK
+    xs, ys = ([math.log(row[key]) for row in rows] for key in ("n", "queries"))
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    slope = math.fsum(a * (y - y_mean) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
+    intercept = y_mean - slope * x_mean
     expected = 1.0 + 1.0 / args.C if args.solver == "halfplus" else None
     doc = {
         "command": "bench",
@@ -334,8 +337,8 @@ def cmd_bench(args) -> tuple[dict, bool]:
         "d": args.d,
         "seed": args.seed,
         "grid": rows,
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "expected_slope": expected,
         "slope_within_tolerance": None if expected is None else bool(abs(slope - expected) <= 0.15),
     }
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, needs_input=True):
+    def add_io(sp, needs_input=True, verify_tol=False):
         if needs_input:
             sp.add_argument("--input", required=True, help="points CSV, distance matrix, or instance JSON")
             sp.add_argument(
@@ -435,12 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument("--space", choices=("lp", "normed", "metric"), default=None)
             sp.add_argument("--alpha", type=float, required=True)
+            sp.add_argument("--p", default="2", help="l_p parameter of points CSV input ('inf' allowed)")
         sp.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
-        sp.add_argument("--p", default="2", help="l_p parameter for coordinate spaces ('inf' allowed)")
-        sp.add_argument("--verify-tol", type=_tolerance, default=VERIFY_REL_TOL, help="relative verification slack")
+        if verify_tol:
+            sp.add_argument("--verify-tol", type=_tolerance, default=VERIFY_REL_TOL, help="relative verification slack")
 
     sp = sub.add_parser("solve", help="run one solver and verify its ball")
-    add_io(sp)
+    add_io(sp, verify_tol=True)
     sp.add_argument(
         "--solver",
         default=None,
@@ -460,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="check one ball against an instance")
-    add_io(sp)
+    add_io(sp, verify_tol=True)
     sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--center", default=None, help="comma-separated coordinates")
     sp.add_argument("--center-index", type=int, default=None, help="point index (metric)")
@@ -480,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=4)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--sizes", default="64,256,1024,4096", help="comma-separated n grid (>= 4 sizes)")
-    sp.set_defaults(func=cmd_bench)
+    # the halfplus entry reads a tolerance; bench reports no verdict
+    sp.set_defaults(func=cmd_bench, verify_tol=VERIFY_REL_TOL)
 
     sp = sub.add_parser("gen", help="generate a planted instance")
     add_io(sp, needs_input=False)
@@ -492,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--separation", type=float, default=100.0)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--weights", choices=("unit", "dyadic"), default="unit")
+    sp.add_argument("--p", default="2", help="l_p parameter of the generated instance ('inf' allowed)")
     sp.add_argument("--mode", choices=("single", "two", "gap"), default="single")
     sp.add_argument("--outlier-frac", type=float, default=None)
     sp.add_argument("--emit", choices=("instance", "csv", "matrix"), default="instance")

@@ -20,6 +20,18 @@ from .spaces import NormedSpaceOps
 PointHandle = Union[np.ndarray, int]
 
 
+def weight_total(w: np.ndarray) -> float:
+    """Sum of the weights w, which must be finite and nonnegative; finite
+    weights may still overflow the sum, which is an error too."""
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ArgumentError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not math.isfinite(total):
+        raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
+    return total
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     """Immutable weighted point set.
@@ -40,8 +52,7 @@ class WeightedPointSet:
             raise ArgumentError("weights must be one-dimensional")
         if w.shape[0] == 0:
             raise ArgumentError("point set must be nonempty")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ArgumentError("weights must be finite and nonnegative")
+        total = weight_total(w)
         c = self.coords
         if c is not None:
             c = np.ascontiguousarray(c, dtype=np.float64)
@@ -52,10 +63,6 @@ class WeightedPointSet:
             if not np.all(np.isfinite(c)):
                 raise ArgumentError("coords must be finite")
             c.setflags(write=False)
-        with np.errstate(over="ignore"):
-            total = float(w.sum())
-        if not math.isfinite(total):
-            raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
         w.setflags(write=False)
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "weights", w)

@@ -44,26 +44,6 @@ def _parse_float(token: str, line: int, what: str) -> float:
     return value
 
 
-def _parse_row(cells: list[str], line: int, what) -> tuple[float, ...]:
-    """Floats of one row, with the exact errors of ``_parse_float``.
-
-    ``what`` yields the name of each column in turn, for error messages.
-    The fast path is the same ``float`` call; only a row that fails it,
-    or whose sum is NaN (a NaN cell, or a false alarm from inf + -inf),
-    is parsed again token by token so that the first bad token is the
-    one reported.  Rows are tuples, which hold a short row in less memory
-    than a list.
-    """
-    try:
-        vals = tuple(map(float, cells))
-    except ValueError:
-        pass
-    else:
-        if not math.isnan(sum(vals)):
-            return vals
-    return tuple(_parse_float(c, line, w) for c, w in zip(cells, what))
-
-
 def _read_text(fh) -> str:
     """All of fh's text; bytes that are not UTF-8 are a ParseError."""
     try:
@@ -147,7 +127,7 @@ def _csv_rows(lines: list[str], d: int) -> np.ndarray:
         cells = raw.split(",")
         if len(cells) != d + 1:
             raise ParseError(f"expected {d + 1} comma-separated values, got {len(cells)}", line=lineno)
-        rows.append(_parse_row(cells, lineno, what))
+        rows.append(tuple(_parse_float(c, lineno, w) for c, w in zip(cells, what)))
     if not rows:
         raise ParseError("no data rows after the header", line=2)
     return np.array(rows)
@@ -196,7 +176,7 @@ def _matrix_rows(lines: list[str], n: int) -> np.ndarray:
         cells = raw.split()
         if len(cells) != n:
             raise ParseError(f"expected {n} entries in matrix row, got {len(cells)}", line=lineno)
-        rows.append(_parse_row(cells, lineno, what))
+        rows.append(tuple(_parse_float(c, lineno, w) for c, w in zip(cells, what)))
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, found {len(rows)}", line=lineno)
     return np.array(rows)

@@ -178,6 +178,16 @@ def _cover_range(
     return out
 
 
+def _peel(ps: WeightedPointSet, oracle: DistanceOracle, alpha: float, C: int) -> MetricCover:
+    """The peeling cover of checked input over the padded slots.  At C = 1
+    slot i is point i with no padding, which is metric_quadratic."""
+    points, weights, m = _pad_for_blocks(ps, C)
+    found = _cover_range(oracle, points, weights, 0, alpha, C, m)
+    centers = tuple(int(points[i]) for i, _ in found)
+    radii = tuple(float(s) for _, s in found)
+    return MetricCover(centers, radii, alpha, 2.0 * C)
+
+
 def metric_quadratic(ps: WeightedPointSet, oracle: DistanceOracle, alpha: float) -> MetricCover:
     """O(n^2 / alpha)-query peeling baseline.
 
@@ -191,10 +201,7 @@ def metric_quadratic(ps: WeightedPointSet, oracle: DistanceOracle, alpha: float)
     require_fraction(alpha)
     require_pairing(ps, oracle, (DistanceOracle,))
     require_positive_weight(ps)
-    found = _cover_range(oracle, np.arange(ps.n), ps.weights.copy(), 0, alpha, 1, ps.n)
-    centers = tuple(int(i) for i, _ in found)
-    radii = tuple(float(s) for _, s in found)
-    return MetricCover(centers, radii, alpha, 2.0)
+    return _peel(ps, oracle, alpha, 1)
 
 
 def metric_cover(
@@ -208,8 +215,9 @@ def metric_cover(
     blocks at level C-1, evaluates all block candidates globally at the
     fixed threshold alpha * w_original, keeps the minimal-radius one
     (ties to the lowest point index), zeroes its ball, and repeats on
-    the remaining weight.  C = 1 makes exactly metric_quadratic's queries;
-    C is bounded as in metric_halfplus.
+    the remaining weight.  C = 1 gives metric_quadratic's cover, with its
+    queries for alpha <= 1/2 and n more above (metric_halfplus's
+    covered-weight sweep); C is bounded as in metric_halfplus.
     """
     require_fraction(alpha)
     C = require_int("C", C, 1)
@@ -218,8 +226,4 @@ def metric_cover(
     if math.floor(1.0 / alpha + _TIE_EPS) == 1:
         ball = metric_halfplus(ps, oracle, alpha, C)
         return MetricCover((int(ball.center_index),), (float(ball.radius),), alpha, 2.0 * C)
-    points, weights, m = _pad_for_blocks(ps, C)
-    found = _cover_range(oracle, points, weights, 0, alpha, C, m)
-    centers = tuple(int(points[i]) for i, _ in found)
-    radii = tuple(float(s) for _, s in found)
-    return MetricCover(centers, radii, alpha, 2.0 * C)
+    return _peel(ps, oracle, alpha, C)

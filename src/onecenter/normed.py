@@ -155,9 +155,12 @@ class _ShiftedRow:
     _TINY <= t both margins exceed the absolute terms and the rounding
     of the two bounds, and a reference value of inf means z_ref >= 2^510,
     outside any t + s <= _HUGE; other t get the whole row.  Only the
-    undecided points get exact values, through ``space.distances``, once
-    per center; when more than half the level would, the whole row is
-    computed at c and becomes the reference.
+    undecided points get exact values, through ``space.distances``, and
+    they are not kept: on planted sets no point is undecided at two
+    thresholds at one center, and one that is (a point within ulps of
+    each threshold) is computed and counted again.  Once the exact values
+    spent at c would pass half the level, the whole row is computed at c
+    instead and becomes the reference.
     """
 
     def __init__(
@@ -183,13 +186,10 @@ class _ShiftedRow:
 
     def _exact(self, idx: np.ndarray) -> np.ndarray:
         """Exact row values of the points idx at the current center."""
-        todo = idx[~self.known[idx]]
-        if todo.size:
-            if 2 * (np.count_nonzero(self.known) + todo.size) > self.known.size:
-                return self._rebase(self.center)[idx]
-            self.exact[todo] = self.space.distances(self.points.take(todo, axis=0), self.center)
-            self.known[todo] = True
-        return self.exact[idx]
+        self.spent += idx.size
+        if 2 * self.spent > self.ref_row.size:
+            return self._rebase(self.center)[idx]
+        return self.space.distances(self.points.take(idx, axis=0), self.center)
 
     def __le__(self, t: float) -> np.ndarray:
         if self.center is self.ref:
@@ -199,8 +199,7 @@ class _ShiftedRow:
         if self.shift is None:
             # the one-row distances call, without its argument checks
             self.shift = float(self.space.norms((self.center - self.ref)[None, :])[0])
-            self.known = np.zeros(self.ref_row.shape, dtype=bool)
-            self.exact = np.empty(self.ref_row.shape)
+            self.spent = 0
         s = self.shift
         margin = self.mu * (t + s)
         hi = t + s + margin

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import require_fraction
+from .core import require_fraction, weight_total
 from .errors import ArgumentError
 
 
@@ -51,17 +51,6 @@ def _check_block(v: np.ndarray, w: np.ndarray) -> None:
         raise ArgumentError("values must be finite")
 
 
-def _checked_total(w: np.ndarray) -> float:
-    """Sum of the weights, which must be finite and nonnegative; finite
-    weights may still overflow the sum, which is an error too."""
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise ArgumentError("weights must be finite and nonnegative")
-    total = float(w.sum())
-    if not math.isfinite(total):
-        raise ArgumentError(f"weights sum to {total}; rescale them so the total is finite")
-    return total
-
-
 def _check_target(target_weight: float) -> None:
     if math.isnan(target_weight):
         raise ArgumentError("target_weight must not be NaN")
@@ -85,7 +74,7 @@ def _select_fraction(values, weights, fraction: float) -> float:
     """Selection at ``fraction`` of the total weight, which must be positive."""
     v, w = _as_block(values, weights, 1)
     _check_block(v, w)
-    total = _checked_total(w)
+    total = weight_total(w)
     if total <= 0.0:
         raise ArgumentError("total weight must be positive")
     return float(_scan_rows(v, w, fraction * total)[0])
@@ -160,7 +149,7 @@ def select_rows(distances, weights, target_weight: float) -> np.ndarray:
     """
     v, w = _as_block(distances, weights, 2)
     _check_block(v, w)
-    total = _checked_total(w)
+    total = weight_total(w)
     _check_target(target_weight)
     if target_weight > total:
         return np.full(v.shape[0], math.inf)
@@ -377,7 +366,7 @@ def best_candidate(fetch, candidates, weights, target_weight: float):
         v, w = _as_block(fetch(chunk), weights, 2)
         _check_block(v, w)
         if total is None:
-            total = _checked_total(w)
+            total = weight_total(w)
             _check_target(target_weight)
             target = float(target_weight)
         if target > total:

@@ -164,11 +164,6 @@ def test_gen_non_finite_scale_is_a_usage_error(tmp_path, capsys, flag):
         ["solve", "--input", "p.csv", "--alpha", "0.75"],
         ["solve", "--input", "d.txt", "--solver", "cover", "--alpha", "0.75"],
         ["verify", "--input", "p.csv", "--alpha", "0.75", "--radius", "1", "--center", "0,0"],
-        ["cover", "--input", "p.csv", "--alpha", "0.4", "--r", "1"],
-        ["bench"],
-        ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "p.csv"],
-        ["opnorm-demo", "--k", "2"],
-        ["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1"],
     ],
 )
 def test_bad_verify_tol_is_rejected_at_parse_time(capsys, argv, tol):
@@ -176,6 +171,25 @@ def test_bad_verify_tol_is_rejected_at_parse_time(capsys, argv, tol):
     code, out, err = _run_raw([*argv, f"--verify-tol={tol}"], capsys)
     assert (code, out) == (1, "")
     assert "--verify-tol" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--input", "p.csv", "--alpha", "0.4", "--r", "1", "--verify-tol", "0"],
+        ["bench", "--verify-tol", "0"],
+        ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "p.csv", "--verify-tol", "0"],
+        ["opnorm-demo", "--k", "2", "--verify-tol", "0"],
+        ["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1", "--verify-tol", "0"],
+        ["bench", "--p", "inf"],
+        ["opnorm-demo", "--k", "2", "--p", "inf"],
+    ],
+)
+def test_options_a_command_does_not_read_are_unknown(capsys, argv):
+    # each subcommand takes --p and --verify-tol only where it reads them
+    code, out, err = _run_raw(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(

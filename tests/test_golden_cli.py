@@ -157,7 +157,8 @@ def run_case(argv: list, paths: dict) -> dict:
     return {"exit": code, "report": report, "stderr": prefix}
 
 
-def compute_records(root: Path) -> dict:
+def compute_records(root: Path, command: str | None = None) -> dict:
+    """Records of every case, or of the cases of one subcommand."""
     paths = write_inputs(root)
     paths["missing"] = str(root / "missing.csv")
     for label in ("gen.csv", "gen.txt", "gen.json"):
@@ -166,7 +167,7 @@ def compute_records(root: Path) -> dict:
     build_parser, parser = cli.build_parser, cli.build_parser()
     cli.build_parser = lambda: parser
     try:
-        return {" ".join(argv): run_case(argv, paths) for argv in cases()}
+        return {" ".join(argv): run_case(argv, paths) for argv in cases() if command in (None, argv[0])}
     finally:
         cli.build_parser = build_parser
 
@@ -176,6 +177,16 @@ def test_cli_reports_match_golden(tmp_path):
     got = compute_records(tmp_path)
     assert sorted(got) == sorted(expected)
     mismatched = [key for key in expected if got[key] != expected[key]]
+    assert not mismatched, {key: (expected[key], got[key]) for key in mismatched[:3]}
+
+
+def test_bench_reports_match_golden(tmp_path):
+    # the bench records alone: their fit is plain float arithmetic, so
+    # unlike solve and opnorm-demo they hold under every BLAS kernel
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = compute_records(tmp_path, "bench")
+    assert sorted(got) == sorted(key for key in expected if key.startswith("bench "))
+    mismatched = [key for key in got if got[key] != expected[key]]
     assert not mismatched, {key: (expected[key], got[key]) for key in mismatched[:3]}
 
 

@@ -202,17 +202,23 @@ def test_cover_single_ball_regime_matches_halfplus():
 
 
 def test_cover_c1_matches_quadratic():
+    # at C = 1 metric_cover peels as metric_quadratic does; above alpha =
+    # 1/2 it goes through metric_halfplus instead, whose sweep of the
+    # winner's covered weight costs n more queries
     rng = np.random.default_rng(6)
-    for trial in range(8):
+    for trial in range(12):
         n = int(rng.integers(4, 80))
         matrix = random_metric_matrix(rng, n)
         weights = rng.choice([1.0, 2.0], size=n)
         ps = WeightedPointSet.indexed(n, weights)
-        alpha = float(rng.uniform(0.2, 0.5))
-        a = metric_cover(ps, MatrixOracle(matrix, validate="none"), alpha, 1)
-        b = metric_quadratic(ps, MatrixOracle(matrix, validate="none"), alpha)
+        alpha = float(rng.uniform(0.2, 0.5) if trial < 8 else rng.uniform(0.51, 1.0))
+        oa, ob = MatrixOracle(matrix, validate="none"), MatrixOracle(matrix, validate="none")
+        a = metric_cover(ps, oa, alpha, 1)
+        b = metric_quadratic(ps, ob, alpha)
         assert a.centers == b.centers
         assert a.radii == b.radii
+        assert a.approx_constant == b.approx_constant == 2.0
+        assert oa.query_count == ob.query_count + (n if alpha > 0.5 else 0)
 
 
 def test_cover_two_planted_clusters():

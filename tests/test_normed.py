@@ -545,3 +545,24 @@ def test_shifted_row_masks_equal_the_exact_row(seed, p, d, scale, moves, ulps):
             for _ in range(abs(ulps)):
                 t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
             assert (row <= t).tobytes() == (exact <= t).tobytes()
+
+
+def test_shifted_row_spends_at_most_half_the_level_on_exact_values():
+    # exact values are not kept: asked twice at one center, the undecided
+    # points are counted twice, and past half the level the whole row is
+    # computed there instead; later tests at that center cost no row
+    angles = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    points = np.vstack([ring, 0.5 * ring])
+    space = RowCountingLp(2.0, 2)
+    row = normed._ShiftedRow(points, space, np.zeros(2), mu=4.0 * space._allowance)
+    center = np.array([1e-9, 0.0])
+    row.at(center)
+    exact = space.distances(points, center) <= 1.0
+    spent = []
+    for _ in range(3):
+        before = space.rows
+        assert (row <= 1.0).tobytes() == exact.tobytes()
+        spent.append(space.rows - before)
+    # the shift and the 200 points on the unit ring, then the whole row
+    assert spent == [1 + 200, 400, 0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from onecenter import (
     ArgumentError,
+    WeightedPointSet,
     kernel_backend,
     select_rows,
     smallest_radius_at_weight,
@@ -138,18 +139,23 @@ def test_selection_argument_errors():
         weighted_median([[1.0, 2.0]], [[1.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("error")
 def test_selection_rejects_finite_weights_whose_total_overflows():
     # the total overflows to inf, so half of it is inf and only the last
-    # cumsum reaches it: 2.0 would come back where 1.0 carries half
+    # cumsum reaches it: 2.0 would come back where 1.0 carries half.  One
+    # check, core.weight_total, reports it everywhere, with no overflow
+    # warning first (warnings are errors here)
     w = [1e308, 1e308]
     calls = [
+        lambda: WeightedPointSet.from_coords([[1.0], [2.0]], w),
         lambda: weighted_median([1.0, 2.0], w),
         lambda: weighted_quantile_radius([1.0, 2.0], w, 0.5),
         lambda: smallest_radius_at_weight([1.0, 2.0], w, 1.0),
         lambda: select_rows([[1.0, 2.0]], w, 1.0),
+        lambda: best_candidate(lambda chunk: np.array([[1.0, 2.0]])[chunk], [0], w, 1.0),
     ]
     for call in calls:
-        with np.errstate(over="ignore"), pytest.raises(ArgumentError, match="total is finite"):
+        with pytest.raises(ArgumentError, match="weights sum to inf"):
             call()
 
 
@@ -525,8 +531,8 @@ def test_best_candidate_validates_as_select_rows_does_and_only_once(monkeypatch)
                 best_candidate(lambda chunk: block[chunk], [0, 1, 2], weights, target)
         assert str(got.value) == str(want.value)
     checked = []
-    total = selection._checked_total
-    monkeypatch.setattr(selection, "_checked_total", lambda w: (checked.append(1), total(w))[1])
+    total = selection.weight_total
+    monkeypatch.setattr(selection, "weight_total", lambda w: (checked.append(1), total(w))[1])
     assert best_candidate(lambda chunk: good[chunk], [2, 0, 1], [1.0, 1.0], 1.0)[:2] == (0, 1.0)
     assert len(checked) == 1
     # with no candidates nothing is fetched or checked
