@@ -172,22 +172,23 @@ def compute_records(root: Path, command: str | None = None) -> dict:
         cli.build_parser = build_parser
 
 
-def test_cli_reports_match_golden(tmp_path):
+def _assert_records_match_golden(root: Path, command: str | None = None) -> None:
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = compute_records(tmp_path)
+    expected = {key: rec for key, rec in expected.items() if command in (None, key.split()[0])}
+    got = compute_records(root, command)
     assert sorted(got) == sorted(expected)
     mismatched = [key for key in expected if got[key] != expected[key]]
     assert not mismatched, {key: (expected[key], got[key]) for key in mismatched[:3]}
 
 
+def test_cli_reports_match_golden(tmp_path):
+    _assert_records_match_golden(tmp_path)
+
+
 def test_bench_reports_match_golden(tmp_path):
     # the bench records alone: their fit is plain float arithmetic, so
     # unlike solve and opnorm-demo they hold under every BLAS kernel
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = compute_records(tmp_path, "bench")
-    assert sorted(got) == sorted(key for key in expected if key.startswith("bench "))
-    mismatched = [key for key in got if got[key] != expected[key]]
-    assert not mismatched, {key: (expected[key], got[key]) for key in mismatched[:3]}
+    _assert_records_match_golden(tmp_path, "bench")
 
 
 def test_golden_cli_cases_reach_every_outcome():
