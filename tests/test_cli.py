@@ -173,23 +173,25 @@ def test_bad_verify_tol_is_rejected_at_parse_time(capsys, argv, tol):
     assert "--verify-tol" in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("value", ["0", "inf", "nan", "-1e-3", "x"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["cover", "--input", "p.csv", "--alpha", "0.4", "--r", "1", "--verify-tol", "0"],
-        ["bench", "--verify-tol", "0"],
-        ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "p.csv", "--verify-tol", "0"],
-        ["opnorm-demo", "--k", "2", "--verify-tol", "0"],
-        ["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1", "--verify-tol", "0"],
-        ["bench", "--p", "inf"],
-        ["opnorm-demo", "--k", "2", "--p", "inf"],
+        (["cover", "--input", "p.csv", "--alpha", "0.4", "--r", "1"], "--verify-tol"),
+        (["bench"], "--verify-tol"),
+        (["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", "--out", "p.csv"], "--verify-tol"),
+        (["opnorm-demo", "--k", "2"], "--verify-tol"),
+        (["baseline", "--input", "p.csv", "--alpha", "0.75", "--r", "1"], "--verify-tol"),
+        (["bench"], "--p"),
+        (["opnorm-demo", "--k", "2"], "--p"),
     ],
 )
-def test_options_a_command_does_not_read_are_unknown(capsys, argv):
-    # each subcommand takes --p and --verify-tol only where it reads them
-    code, out, err = _run_raw(argv, capsys)
+def test_options_a_command_does_not_read_are_unknown(capsys, argv, option, value):
+    # each subcommand takes --p and --verify-tol only where it reads them, so
+    # argparse refuses the option itself, whether its value is valid or not
+    code, out, err = _run_raw([*argv, f"{option}={value}"], capsys)
     assert (code, out) == (1, "")
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err.splitlines()[-1]
+    assert f"unrecognized arguments: {option}={value}" in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
