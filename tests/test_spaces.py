@@ -211,8 +211,8 @@ def test_norms_is_the_one_abstract_method():
     assert NormedSpaceOps.__abstractmethods__ == frozenset({"norms"})
 
 
-@pytest.mark.parametrize("space", [LpSpace(p, 4) for p in (1.0, 2.0, 3.0, math.inf)]
-                         + [OperatorNormSpace(k) for k in (1, 2, 3, 5)], ids=repr)
+@pytest.mark.parametrize("space", [pytest.param(LpSpace(p, 4), id=f"lp-p{p:g}-d4") for p in (1.0, 2.0, 3.0, math.inf)]
+                         + [pytest.param(OperatorNormSpace(k), id=f"opnorm-k{k}") for k in (1, 2, 3, 5)])
 def test_norm_is_the_one_row_norms_call_bit_for_bit(space):
     rng = np.random.default_rng(17)
     rows = [rng.normal(size=space.d) * 2.0**e for e in (-600, -40, 0, 7, 600)]
