@@ -22,7 +22,7 @@ from .core import (
     require_positive_weight, require_radius,
 )
 from .errors import ArgumentError, DegenerateInputError
-from .spaces import NormedSpaceOps, _pair_gaps
+from .spaces import _BLOCK, NormedSpaceOps, _pair_gaps
 
 
 def halfplus_constant(alpha: float) -> float:
@@ -57,9 +57,11 @@ def _pair_reduce_arrays(
     space: NormedSpaceOps,
     r: float,
     gaps: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # gaps, when given, is _pair_gaps(space, points) for an even-length
-    # points
+    # points.  Also returns each survivor's index in points; its partner's
+    # is that index ^ 1.  Odd n's padding copy (index n) weighs 0 and
+    # never survives.
     n = points.shape[0]
     if n % 2 == 1:
         # pad with a zero-weight copy of the first point
@@ -73,9 +75,8 @@ def _pair_reduce_arrays(
     v = np.where(close, wa + wb, np.abs(wa - wb))
     # heavier member survives; ties keep the earlier point.  One row
     # gather copies each survivor, the same bytes as a per-pair select.
-    take_a = wa >= wb
-    reduced = points.take(np.arange(0, points.shape[0], 2) + ~take_a, axis=0)
-    return reduced, v
+    kept = np.arange(0, points.shape[0], 2) + ~(wa >= wb)
+    return points.take(kept, axis=0), v, kept
 
 
 def pair_reduce(ps: WeightedPointSet, space: NormedSpaceOps, r: float) -> PairReduction:
@@ -91,7 +92,7 @@ def pair_reduce(ps: WeightedPointSet, space: NormedSpaceOps, r: float) -> PairRe
     """
     require_radius(r)
     require_pairing(ps, space, (NormedSpaceOps,))
-    pts, v = _pair_reduce_arrays(ps.coords, ps.weights, space, r)
+    pts, v, _ = _pair_reduce_arrays(ps.coords, ps.weights, space, r)
     return PairReduction(pts, v)
 
 
@@ -137,9 +138,13 @@ class _ShiftedRow:
     as threshold tests need it: ``row <= t`` is the mask that
     ``space.distances(points, center) <= t`` would give, bit for bit.
 
-    It keeps one exact row D, at a reference center, from ``rows(c)``
+    It keeps one exact row D, at a reference center: start = (ref, D)
+    when given, else the row at the first center, from ``rows(c)``
     (``space.distances(points, c)`` unless given); ``at(c)`` moves it to
-    c.  With no mu the first test at c computes the row there whole.
+    c.  A certified level's first D is its reduced level's reference row
+    for the pair survivors, with only the partners computed
+    (``_inherited_row``).  With no mu the first test at c computes the
+    row there whole.
     With mu = 4 delta, delta the space's rounding allowance
     (``spaces.LpSpace``), the first test at c spends one counted norm on
     the center's shift s = ||c - ref||, and a point is decided at t by
@@ -170,10 +175,12 @@ class _ShiftedRow:
         center: np.ndarray,
         rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         mu: Optional[float] = None,
+        start: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
         self.points, self.space, self.mu = points, space, mu
         self.rows = partial(space.distances, points) if rows is None else rows
-        self._rebase(center)
+        self.ref, self.ref_row = (center, self.rows(center)) if start is None else start
+        self.center, self.shift = center, None
 
     def _rebase(self, center: np.ndarray) -> np.ndarray:
         self.ref = self.center = center
@@ -224,6 +231,37 @@ def _centroid(points: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> Opti
     return points.compress(mask, axis=0).T @ w / total
 
 
+def _certify_mu(points: np.ndarray, space: NormedSpaceOps, rows: Optional[Callable]) -> Optional[float]:
+    """The mu of a level's _ShiftedRow: 4 delta when the level certifies
+    its rows (no given rows, at least _CERTIFY_MIN_ROWS points, a space
+    with a rounding allowance delta), else None."""
+    if rows is None and points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
+        return 4.0 * space._allowance
+    return None
+
+
+def _inherited_row(
+    points: np.ndarray, space: NormedSpaceOps, kept: np.ndarray, below: _ShiftedRow
+) -> np.ndarray:
+    """``space.distances(points, below.ref)``, bit for bit, where kept is
+    the survivor index of points' pair reduction (_pair_reduce_arrays) and
+    below the reduced level's row.
+
+    A row value's bits depend only on that row and the center (spaces),
+    and each survivor is a byte copy of a reduced-level point, so its
+    value is copied from below.ref_row; only the partners are computed,
+    one ``_BLOCK`` of rows at a time.
+    """
+    row = np.empty(points.shape[0])
+    row[kept] = below.ref_row
+    # odd n's last partner is the padding copy, not one of points
+    partners = (kept ^ 1)[: points.shape[0] // 2]
+    for lo in range(0, partners.size, _BLOCK):
+        idx = partners[lo : lo + _BLOCK]
+        row[idx] = space.distances(points.take(idx, axis=0), below.ref)
+    return row
+
+
 def _refine_loop(
     points: np.ndarray,
     weights: np.ndarray,
@@ -232,20 +270,21 @@ def _refine_loop(
     alpha: float,
     r: float,
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    start: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, _ShiftedRow]:
     # Shrink the containment factor K from 3C+4 down to C, testing
     # membership at K*r against this level's full point set each pass.
     # A pass whose mask equals the one that produced the current center
     # would reproduce that center bit for bit, so it only shrinks K: no
-    # centroid, and the row stays where it is.  Returns the center and
-    # the level's _ShiftedRow, moved to it.  rows(c), if given, must
-    # equal space.distances(points, c); without it, a level of at least
-    # _CERTIFY_MIN_ROWS points in a space with a rounding allowance
-    # certifies its rows.
-    mu = None
-    if rows is None and points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
-        mu = 4.0 * space._allowance
-    row = _ShiftedRow(points, space, center, rows, mu)
+    # centroid, and the row stays where it is.  Where that row is exact,
+    # K shrinks in float compares alone until K*r falls below the mask's
+    # farthest member, the first K at which the mask can change.  Returns
+    # the center and the level's _ShiftedRow, moved to it.  rows(c), if
+    # given, must equal space.distances(points, c), and start, if given,
+    # is (ref, space.distances(points, ref)), the row's first reference;
+    # without rows, a level of at least _CERTIFY_MIN_ROWS points in a
+    # space with a rounding allowance certifies its rows.
+    row = _ShiftedRow(points, space, center, rows, _certify_mu(points, space, rows), start)
     shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
@@ -260,6 +299,10 @@ def _refine_loop(
                 return center, row
             center, used = moved, key
             row.at(center)
+        elif row.center is row.ref:
+            far = row.ref_row[mask].max()
+            while K * shrink > C and K * shrink * r >= far:
+                K *= shrink
         K *= shrink
     return center, row
 
@@ -275,18 +318,21 @@ def _halfplus_center(
 ) -> tuple[np.ndarray, Optional[_ShiftedRow]]:
     # rows and gaps serve only this level's refine loop and pair
     # reduction (see _refine_loop, _pair_reduce_arrays); the reduced
-    # levels below compute their own.  Returns _refine_loop's pair, or
-    # no row for a single point.
+    # levels below compute their own.  A certified level starts from
+    # the reduced level's reference row (_inherited_row).  Returns
+    # _refine_loop's pair, or no row for a single point.
     if points.shape[0] == 1:
         return points[0], None
-    reduced_pts, v = _pair_reduce_arrays(points, weights, space, r, gaps)
-    if float(np.add.reduce(v)) > 0.0:
-        coarse = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)[0]
-    else:
+    reduced_pts, v, kept = _pair_reduce_arrays(points, weights, space, r, gaps)
+    if float(np.add.reduce(v)) <= 0.0:
         # every pair cancelled: no radius-r ball can hold more than half
         # the weight, so any survivor is as good a starting point as any
-        coarse = reduced_pts[0]
-    return _refine_loop(points, weights, space, coarse, alpha, r, rows)
+        return _refine_loop(points, weights, space, reduced_pts[0], alpha, r, rows)
+    coarse, below = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
+    start = None
+    if _certify_mu(points, space, rows) is not None:
+        start = below.ref, _inherited_row(points, space, kept, below)
+    return _refine_loop(points, weights, space, coarse, alpha, r, rows, start)
 
 
 def cluster_halfplus(

@@ -366,7 +366,7 @@ def test_logtower_buckets_never_split_an_input_the_library_can_hold(beta, k):
 def _ref_halfplus_center(points, weights, space, alpha, r):
     if points.shape[0] == 1:
         return points[0]
-    reduced_pts, v = _pair_reduce_arrays(points, weights, space, r)
+    reduced_pts, v, _ = _pair_reduce_arrays(points, weights, space, r)
     if float(v.sum()) > 0.0:
         coarse = _ref_halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
     else:

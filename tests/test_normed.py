@@ -363,11 +363,15 @@ def _where_pair_reduce(points, weights, space, r):
 
 
 def _assert_same_reduction(points, weights, space, r):
-    got = _pair_reduce_arrays(points, weights, space, r)
+    reduced, v, kept = _pair_reduce_arrays(points, weights, space, r)
     want = _where_pair_reduce(points, weights, space, r)
-    for g, w in zip(got, want):
+    for g, w in zip((reduced, v), want):
         assert g.shape == w.shape and g.flags.c_contiguous
         assert g.tobytes() == w.tobytes()
+    # one survivor index per pair, naming the gathered row; odd n's
+    # padding copy never survives
+    assert np.array_equal(kept // 2, np.arange(kept.size))
+    assert points[kept].tobytes() == reduced.tobytes()
 
 
 @given(
@@ -411,6 +415,29 @@ def test_refine_loop_skips_stationary_steps_at_small_eps():
     _assert_row_is_exact(row, LpSpace(2.0, 2).distances(inst.ps.coords, got))
     assert fast_space.rows == rows
 
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_stationary_steps_at_an_exact_row_cost_one_test(n, monkeypatch):
+    # at alpha 0.52 the plain loop makes 56 passes, nearly all stationary;
+    # where the row at the center is exact (every level under
+    # _CERTIFY_MIN_ROWS points), K falls to the mask's farthest member in
+    # float compares, so a stationary pass is followed by a centroid step
+    # or by the end of the loop
+    inst = generate_planted("lp", n=n, d=2, alpha=0.6, r=1.0, seed=5)
+    points, weights, start, alpha = inst.ps.coords, inst.ps.weights, inst.ps.coords[0], 0.52
+    tests, steps = [], []
+    le, centroid = normed._ShiftedRow.__le__, normed._centroid
+    monkeypatch.setattr(normed._ShiftedRow, "__le__", lambda row, t: tests.append(t) or le(row, t))
+    monkeypatch.setattr(normed, "_centroid", lambda *a: steps.append(1) or centroid(*a))
+    got, row = _refine_loop(points, weights, LpSpace(2.0, 2), start, alpha, inst.r)
+    monkeypatch.undo()
+    space = LpSpace(2.0, 2)
+    assert got.tobytes() == _naive_refine_loop(points, weights, space, start, alpha, inst.r).tobytes()
+    passes = len(_plain_steps(points, weights, space, start, alpha, inst.r))
+    assert passes == 56
+    assert len(tests) <= 2 * len(steps) and len(tests) < passes // 2  # 7 and 23 tests
+    _assert_row_is_exact(row, space.distances(points, got))
 
 
 # ---------------------------------------------------------------------------
@@ -566,3 +593,58 @@ def test_shifted_row_spends_at_most_half_the_level_on_exact_values():
         spent.append(space.rows - before)
     # the shift and the 200 points on the unit ring, then the whole row
     assert spent == [1 + 200, 400, 0]
+
+
+# ---------------------------------------------------------------------------
+# Inherited rows: a certified level's first reference row is the reduced
+# level's, copied for the pair survivors, with only the partners computed.
+
+
+@given(
+    n=st.one_of(st.integers(2, 300), st.sampled_from([2 * _BLOCK + 1, 2 * _BLOCK + 2])),
+    d=st.sampled_from([1, 3, 8, 64]),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    scale=st.sampled_from([2.0**-420, 1e-3, 1.0, 1e6, 2.0**450, 2.0**498]),
+    seed=st.integers(0, 2**32 - 1),
+    below_from=st.sampled_from(["point", "off", "level"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_inherited_row_is_the_fresh_row_bit_for_bit(n, d, p, scale, seed, below_from):
+    rng = np.random.default_rng(seed)
+    space = LpSpace(p, d)
+    # coarse coordinates, so rows repeat, and few weights, so pairs tie
+    # and some weigh nothing
+    points = rng.choice([-1.5, -0.0, 0.0, 0.25, 0.3, 3.0], size=(n, d)) * scale + rng.normal(size=(n, d)) * scale * rng.choice([0.0, 1e-9, 1.0])
+    weights = rng.choice([0.0, 0.0, 0.5, 1.0, 2.5], size=n)
+    reduced, v, kept = _pair_reduce_arrays(points, weights, space, scale)
+    if below_from == "level" and float(np.add.reduce(v)) > 0.0:
+        # the row a reduced level hands up: exact at its reference only
+        below = normed._halfplus_center(reduced, v, space, 0.75, 3.0 * scale)[1]
+    elif below_from == "point":
+        below = normed._ShiftedRow(reduced, space, reduced[rng.integers(reduced.shape[0])])
+    else:
+        below = normed._ShiftedRow(reduced, space, reduced[0] + rng.normal(size=d) * scale)
+    if below is None:  # a reduced level of one point keeps no row
+        return
+    got = normed._inherited_row(points, space, kept, below)
+    assert got.tobytes() == space.distances(points, below.ref).tobytes()
+
+
+def test_certified_level_first_pass_costs_its_partners_and_one_shift_norm():
+    n, d, alpha = 3001, 3, 0.75
+    inst = generate_planted("lp", n=n, d=d, alpha=alpha, r=1.0, seed=2, weights="dyadic")
+    points, weights, r = inst.ps.coords, inst.ps.weights, inst.r
+    space = RowCountingLp(2.0, d)
+    reduced, v, kept = _pair_reduce_arrays(points, weights, space, r)
+    coarse, below = normed._halfplus_center(reduced, v, space, alpha, 3.0 * r)
+    assert coarse is not below.ref  # the reduced level moved off its reference
+    before = space.rows
+    start = below.ref, normed._inherited_row(points, space, kept, below)
+    row = normed._ShiftedRow(points, space, coarse, mu=normed._certify_mu(points, space, None), start=start)
+    t = (3.0 * halfplus_constant(alpha) + 4.0) * r
+    mask = row <= t
+    assert space.rows - before == n // 2 + 1  # a fresh first pass costs n
+    assert mask.tobytes() == (LpSpace(2.0, d).distances(points, coarse) <= t).tobytes()
+    # the whole level keeps the inherited reference to its end here
+    top = normed._halfplus_center(points, weights, LpSpace(2.0, d), alpha, r)[1]
+    assert top.ref.tobytes() == below.ref.tobytes()
