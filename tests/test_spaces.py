@@ -172,17 +172,19 @@ def test_distances_on_a_long_c_batch_allocate_no_m_by_d_difference(p):
 
 def test_solver_row_counts_past_one_block_are_unchanged():
     # blocks split batches, never rows; pinned with the refine loop's
-    # certified rows and its stationary steps as threshold tests (27,457
-    # when those steps looked up each mask's farthest member, 51,766 when
-    # every refine pass computed its row)
+    # certified rows, each certified level's reference row inherited from
+    # the level below and its stationary steps as threshold tests (27,305
+    # when each certified level's first pass computed its whole row,
+    # 27,457 when stationary steps looked up each mask's farthest member,
+    # 51,766 when every refine pass computed its row)
     inst = generate_planted("lp", n=9000, d=3, alpha=0.75, seed=4, weights="dyadic")
     space = RowCountingLp(2.0, 3)
     cluster_halfplus(inst.ps, space, 0.75, inst.r)
-    assert space.rows == 27305
+    assert space.rows == 18450
     x = lp_coordinate_median(inst.ps, space, 0.75)
-    assert space.rows == 27305  # selection only
+    assert space.rows == 18450  # selection only
     space.distances(inst.ps.coords, x)
-    assert space.rows == 27305 + 9000
+    assert space.rows == 18450 + 9000
 
 
 @pytest.mark.parametrize("p", P_VALUES)
