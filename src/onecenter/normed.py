@@ -138,13 +138,14 @@ class _ShiftedRow:
     as threshold tests need it: ``row <= t`` is the mask that
     ``space.distances(points, center) <= t`` would give, bit for bit.
 
-    It keeps one exact row D, at a reference center: start = (ref, D)
-    when given, else the row at the first center, from ``rows(c)``
+    It keeps one exact row D, at a reference center, from ``rows(c)``
     (``space.distances(points, c)`` unless given); ``at(c)`` moves it to
-    c.  A certified level's first D is its reduced level's reference row
-    for the pair survivors, with only the partners computed
-    (``_inherited_row``).  With no mu the first test at c computes the
-    row there whole.
+    c.  The first reference is the first center; given mu and below =
+    [kept, row], the level's pair-survivor indices and the reduced
+    level's row, it is that row's reference instead, and D is copied for
+    the survivors and computed for the partners only
+    (``_inherited_row``); below is then emptied.  With no mu the first
+    test at c computes the row there whole.
     With mu = 4 delta, delta the space's rounding allowance
     (``spaces.LpSpace``), the first test at c spends one counted norm on
     the center's shift s = ||c - ref||, and a point is decided at t by
@@ -175,11 +176,15 @@ class _ShiftedRow:
         center: np.ndarray,
         rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         mu: Optional[float] = None,
-        start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        below: Optional[list] = None,
     ):
         self.points, self.space, self.mu = points, space, mu
         self.rows = partial(space.distances, points) if rows is None else rows
-        self.ref, self.ref_row = (center, self.rows(center)) if start is None else start
+        if mu is None or below is None:
+            self.ref, self.ref_row = center, self.rows(center)
+        else:
+            self.ref, self.ref_row = _inherited_row(points, space, *below)
+            below.clear()
         self.center, self.shift = center, None
 
     def _rebase(self, center: np.ndarray) -> np.ndarray:
@@ -231,21 +236,12 @@ def _centroid(points: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> Opti
     return points.compress(mask, axis=0).T @ w / total
 
 
-def _certify_mu(points: np.ndarray, space: NormedSpaceOps, rows: Optional[Callable]) -> Optional[float]:
-    """The mu of a level's _ShiftedRow: 4 delta when the level certifies
-    its rows (no given rows, at least _CERTIFY_MIN_ROWS points, a space
-    with a rounding allowance delta), else None."""
-    if rows is None and points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
-        return 4.0 * space._allowance
-    return None
-
-
 def _inherited_row(
     points: np.ndarray, space: NormedSpaceOps, kept: np.ndarray, below: _ShiftedRow
-) -> np.ndarray:
-    """``space.distances(points, below.ref)``, bit for bit, where kept is
-    the survivor index of points' pair reduction (_pair_reduce_arrays) and
-    below the reduced level's row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(below.ref, ``space.distances(points, below.ref)``), bit for bit,
+    where kept is the survivor index of points' pair reduction
+    (_pair_reduce_arrays) and below the reduced level's row.
 
     A row value's bits depend only on that row and the center (spaces),
     and each survivor is a byte copy of a reduced-level point, so its
@@ -259,7 +255,7 @@ def _inherited_row(
     for lo in range(0, partners.size, _BLOCK):
         idx = partners[lo : lo + _BLOCK]
         row[idx] = space.distances(points.take(idx, axis=0), below.ref)
-    return row
+    return below.ref, row
 
 
 def _refine_loop(
@@ -270,7 +266,7 @@ def _refine_loop(
     alpha: float,
     r: float,
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    start: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    below: Optional[list] = None,
 ) -> tuple[np.ndarray, _ShiftedRow]:
     # Shrink the containment factor K from 3C+4 down to C, testing
     # membership at K*r against this level's full point set each pass.
@@ -280,11 +276,14 @@ def _refine_loop(
     # K shrinks in float compares alone until K*r falls below the mask's
     # farthest member, the first K at which the mask can change.  Returns
     # the center and the level's _ShiftedRow, moved to it.  rows(c), if
-    # given, must equal space.distances(points, c), and start, if given,
-    # is (ref, space.distances(points, ref)), the row's first reference;
-    # without rows, a level of at least _CERTIFY_MIN_ROWS points in a
-    # space with a rounding allowance certifies its rows.
-    row = _ShiftedRow(points, space, center, rows, _certify_mu(points, space, rows), start)
+    # given, must equal space.distances(points, c); without it, a level
+    # of at least _CERTIFY_MIN_ROWS points in a space with a rounding
+    # allowance certifies its rows, starting from below's reference if
+    # given (see _ShiftedRow).
+    mu = None
+    if rows is None and points.shape[0] >= _CERTIFY_MIN_ROWS and space._allowance is not None:
+        mu = 4.0 * space._allowance
+    row = _ShiftedRow(points, space, center, rows, mu, below)
     shrink = 1.0 - (alpha - 0.5)
     C = halfplus_constant(alpha)
     K = 3.0 * C + 4.0
@@ -318,9 +317,8 @@ def _halfplus_center(
 ) -> tuple[np.ndarray, Optional[_ShiftedRow]]:
     # rows and gaps serve only this level's refine loop and pair
     # reduction (see _refine_loop, _pair_reduce_arrays); the reduced
-    # levels below compute their own.  A certified level starts from
-    # the reduced level's reference row (_inherited_row).  Returns
-    # _refine_loop's pair, or no row for a single point.
+    # levels below compute their own.  Returns _refine_loop's pair, or
+    # no row for a single point.
     if points.shape[0] == 1:
         return points[0], None
     reduced_pts, v, kept = _pair_reduce_arrays(points, weights, space, r, gaps)
@@ -329,10 +327,11 @@ def _halfplus_center(
         # the weight, so any survivor is as good a starting point as any
         return _refine_loop(points, weights, space, reduced_pts[0], alpha, r, rows)
     coarse, below = _halfplus_center(reduced_pts, v, space, alpha, 3.0 * r)
-    start = None
-    if _certify_mu(points, space, rows) is not None:
-        start = below.ref, _inherited_row(points, space, kept, below)
-    return _refine_loop(points, weights, space, coarse, alpha, r, rows, start)
+    # the row empties this list once its first reference is built, so
+    # the reduced level's row and kept are freed before the loop runs
+    below = [kept, below]
+    del kept
+    return _refine_loop(points, weights, space, coarse, alpha, r, rows, below)
 
 
 def cluster_halfplus(

@@ -627,8 +627,9 @@ def test_inherited_row_is_the_fresh_row_bit_for_bit(n, d, p, scale, seed, below_
         below = normed._ShiftedRow(reduced, space, reduced[0] + rng.normal(size=d) * scale)
     if below is None:  # a reduced level of one point keeps no row
         return
-    got = normed._inherited_row(points, space, kept, below)
-    assert got.tobytes() == space.distances(points, below.ref).tobytes()
+    ref, got = normed._inherited_row(points, space, kept, below)
+    assert ref is below.ref
+    assert got.tobytes() == space.distances(points, ref).tobytes()
 
 
 def test_certified_level_first_pass_costs_its_partners_and_one_shift_norm():
@@ -640,8 +641,7 @@ def test_certified_level_first_pass_costs_its_partners_and_one_shift_norm():
     coarse, below = normed._halfplus_center(reduced, v, space, alpha, 3.0 * r)
     assert coarse is not below.ref  # the reduced level moved off its reference
     before = space.rows
-    start = below.ref, normed._inherited_row(points, space, kept, below)
-    row = normed._ShiftedRow(points, space, coarse, mu=normed._certify_mu(points, space, None), start=start)
+    row = normed._ShiftedRow(points, space, coarse, mu=4.0 * space._allowance, below=[kept, below])
     t = (3.0 * halfplus_constant(alpha) + 4.0) * r
     mask = row <= t
     assert space.rows - before == n // 2 + 1  # a fresh first pass costs n
