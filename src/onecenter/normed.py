@@ -144,8 +144,8 @@ class _ShiftedRow:
     [kept, row], the level's pair-survivor indices and the reduced
     level's row, it is that row's reference instead, and D is copied for
     the survivors and computed for the partners only
-    (``_inherited_row``); below is then emptied.  With no mu the first
-    test at c computes the row there whole.
+    (``_inherited_row``).  below, if given, is emptied either way.  With
+    no mu the first test at c computes the row there whole.
     With mu = 4 delta, delta the space's rounding allowance
     (``spaces.LpSpace``), the first test at c spends one counted norm on
     the center's shift s = ||c - ref||, and a point is decided at t by
@@ -184,6 +184,7 @@ class _ShiftedRow:
             self.ref, self.ref_row = center, self.rows(center)
         else:
             self.ref, self.ref_row = _inherited_row(points, space, *below)
+        if below:
             below.clear()
         self.center, self.shift = center, None
 
