@@ -416,7 +416,6 @@ def test_refine_loop_skips_stationary_steps_at_small_eps():
     assert fast_space.rows == rows
 
 
-
 @pytest.mark.parametrize("n", [8, 128])
 def test_stationary_steps_at_an_exact_row_cost_one_test(n, monkeypatch):
     # at alpha 0.52 the plain loop makes 56 passes, nearly all stationary;
@@ -438,6 +437,7 @@ def test_stationary_steps_at_an_exact_row_cost_one_test(n, monkeypatch):
     assert passes == 56
     assert len(tests) <= 2 * len(steps) and len(tests) < passes // 2  # 7 and 23 tests
     _assert_row_is_exact(row, space.distances(points, got))
+
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,8 @@ def test_inherited_row_is_the_fresh_row_bit_for_bit(n, d, p, scale, seed, below_
     space = LpSpace(p, d)
     # coarse coordinates, so rows repeat, and few weights, so pairs tie
     # and some weigh nothing
-    points = rng.choice([-1.5, -0.0, 0.0, 0.25, 0.3, 3.0], size=(n, d)) * scale + rng.normal(size=(n, d)) * scale * rng.choice([0.0, 1e-9, 1.0])
+    jitter = rng.normal(size=(n, d)) * rng.choice([0.0, 1e-9, 1.0])
+    points = (rng.choice([-1.5, -0.0, 0.0, 0.25, 0.3, 3.0], size=(n, d)) + jitter) * scale
     weights = rng.choice([0.0, 0.0, 0.5, 1.0, 2.5], size=n)
     reduced, v, kept = _pair_reduce_arrays(points, weights, space, scale)
     if below_from == "level" and float(np.add.reduce(v)) > 0.0:
