@@ -54,7 +54,9 @@ from .opnorm import median_counterexample_report
 from .oracle import MatrixOracle
 from .selection import weighted_quantile_radius
 from .spaces import LpSpace
-from .verify import VERIFY_REL_TOL, _meets_fraction, brute_force_best, las_vegas_baseline, verify_ball
+from .verify import (
+    VERIFY_REL_TOL, _ball_verdict, _check_ball, _meets_fraction, brute_force_best, las_vegas_baseline, verify_ball,
+)
 
 OUTPUT_SCHEMA_VERSION = 1
 _SEARCH_R_CAP = 64
@@ -179,8 +181,11 @@ def _brute_force(ps, oracle, args, inst) -> dict:
 
 def _lp_median(ps, ops, args, inst) -> dict:
     x = lp_coordinate_median(ps, ops, args.alpha)
-    radius = weighted_quantile_radius(ops.distances(ps.coords, x), ps.weights, args.alpha)
-    ok, covered = verify_ball(ps, ops, x, radius, args.alpha, rel_tol=args.verify_tol)
+    # the radius and verify_ball's checks and verdict read one distance row
+    row = ops.distances(ps.coords, x)
+    radius = weighted_quantile_radius(row, ps.weights, args.alpha)
+    _check_ball(ps, ops, x, radius, args.alpha, args.verify_tol)
+    ok, covered = _ball_verdict(ps, row, radius, args.alpha, args.verify_tol)
     finite_p = not math.isinf(ops.p)
     constant = lp_median_bound(args.alpha, ops.p) + 1.0 if finite_p else None
     r = _resolve_r(args, inst)

@@ -168,11 +168,15 @@ def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: flo
     """
     if not radius >= 0:
         raise ArgumentError(f"radius must be nonnegative, got {radius}")
+    return float(np.sum(ps.weights[_center_row(ps, space, center) <= radius]))
+
+
+def _center_row(ps: WeightedPointSet, space, center: PointHandle) -> np.ndarray:
+    """Distance from every point of ps to center: the oracle's counted
+    sweep from a center index, or ``space.distances`` from a coordinate
+    vector."""
     if require_pairing(ps, space):
         if not isinstance(center, (int, np.integer)):
             raise ArgumentError("oracle-backed covered_weight needs a center index")
-        dists = space.sweep(int(center))
-    else:
-        center = np.asarray(center, dtype=np.float64)
-        dists = space.distances(ps.coords, center)
-    return float(np.sum(ps.weights[dists <= radius]))
+        return space.sweep(int(center))
+    return space.distances(ps.coords, np.asarray(center, dtype=np.float64))

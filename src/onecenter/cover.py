@@ -232,11 +232,32 @@ def _below_half_centers(
             d = memo[key] = space.distances(points, c)
         return d
 
+    def candidate_dist(z: np.ndarray) -> np.ndarray:
+        # a child yields each center with its row over that child's
+        # half memoized; the block's row is that half's row and the
+        # other half's, which is the whole row bit for bit (a row value
+        # depends only on its point and the center)
+        key = z.tobytes()
+        d = memo.get((lo, n, key))
+        if d is not None:
+            return d
+        left, right = memo.get((lo, half, key)), memo.get((lo + half, half, key))
+        if left is None and right is None:
+            d = space.distances(points, z)
+        else:
+            if left is None:
+                left = space.distances(points[:half], z)
+            if right is None:
+                right = space.distances(points[half:], z)
+            d = np.concatenate((left, right))
+        memo[(lo, n, key)] = d
+        return d
+
     y = alpha * w
     C = 2.0 + 2.0 / alpha
     hit = None
     for z in candidates:
-        near = dist(z) <= (C + 2.0) * r
+        near = candidate_dist(z) <= (C + 2.0) * r
         bw = float(np.add.reduce(weights[near]))
         if bw < y:
             continue
@@ -266,6 +287,14 @@ def _below_half_centers(
     if rest < y or rest <= 0.0:
         return
     yield from _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
+
+
+def _center_row(ps: WeightedPointSet, space: NormedSpaceOps, memo: dict, center: np.ndarray) -> np.ndarray:
+    # space.distances(ps.coords, center) for a center that the top-level
+    # _below_half_centers call yielded: the top block's memoized row, cut
+    # to the unpadded n.  A single point yields without a row.
+    row = memo.get((0, 1 << (ps.n - 1).bit_length(), center.tobytes()))
+    return space.distances(ps.coords, center) if row is None else row[: ps.n]
 
 
 def _pad_pow2(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,12 +330,13 @@ def below_half_cover(
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     points, weights = _pad_pow2(ps.coords, ps.weights)
-    centers = list(_below_half_centers(points, weights, space, alpha, r, 0, {}))
+    memo: dict = {}
+    centers = list(_below_half_centers(points, weights, space, alpha, r, 0, memo))
     C = gap_constant(alpha)
     remaining = ps.weights.copy()
     balls = []
     for center in centers:
-        mask = space.distances(ps.coords, center) <= C * r
+        mask = _center_row(ps, space, memo, center) <= C * r
         covered = float(np.sum(remaining[mask]))
         balls.append(CandidateBall(center=center, radius=C * r, covered_weight=covered))
         remaining = remaining.copy()
@@ -351,7 +381,7 @@ def cluster_any_alpha(
         R = base**s * r
         for z in _below_half_centers(points, weights, space, beta, R, 0, memo):
             radius = vf * R
-            covered = covered_weight(ps, space, z, radius)
+            covered = float(np.sum(ps.weights[_center_row(ps, space, memo, z) <= radius]))
             if covered >= alpha * w:
                 return CandidateBall(center=z, radius=radius, covered_weight=covered)
     return None

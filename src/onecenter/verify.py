@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import (
-    CandidateBall, WeightedPointSet, covered_weight, require_fraction,
+    CandidateBall, WeightedPointSet, _center_row, covered_weight, require_fraction,
     require_pairing, require_positive_weight, require_radius,
 )
 from .errors import ArgumentError, require_int
@@ -42,6 +42,12 @@ def verify_ball(
     do not flip a true result.  A NaN or infinite radius, and a
     coordinate center with a non-finite entry, are rejected.
     """
+    _check_ball(ps, space, center, radius, alpha, rel_tol)
+    return _ball_verdict(ps, _center_row(ps, space, center), radius, alpha, rel_tol)
+
+
+def _check_ball(ps: WeightedPointSet, space, center, radius: float, alpha: float, rel_tol: float) -> None:
+    """verify_ball's argument checks."""
     require_fraction(alpha)
     if not 0.0 <= radius < math.inf:
         raise ArgumentError(f"radius must be finite and nonnegative, got {radius}")
@@ -49,8 +55,14 @@ def verify_ball(
         raise ArgumentError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     if not require_pairing(ps, space) and not np.all(np.isfinite(center)):
         raise ArgumentError("center coordinates must be finite")
-    covered = covered_weight(ps, space, center, radius)
-    return _meets_fraction(covered, alpha, ps.total_weight, rel_tol), float(covered)
+
+
+def _ball_verdict(
+    ps: WeightedPointSet, row: np.ndarray, radius: float, alpha: float, rel_tol: float
+) -> tuple[bool, float]:
+    """verify_ball's (ok, covered) from the center's distance row, as ``covered_weight`` sums it."""
+    covered = float(np.sum(ps.weights[row <= radius]))
+    return _meets_fraction(covered, alpha, ps.total_weight, rel_tol), covered
 
 
 def brute_force_best(ps: WeightedPointSet, space, alpha: float) -> CandidateBall:
