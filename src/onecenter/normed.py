@@ -162,11 +162,11 @@ class _ShiftedRow:
     of the two bounds, and a reference value of inf means z_ref >= 2^510,
     outside any t + s <= _HUGE; other t get the whole row.  Only the
     undecided points get exact values, through ``space.distances``, and
-    they are not kept: on planted sets no point is undecided at two
-    thresholds at one center, and one that is (a point within ulps of
-    each threshold) is computed and counted again.  Once the exact values
-    spent at c would pass half the level, the whole row is computed at c
-    instead and becomes the reference.
+    they are kept until the center moves, so a point undecided at two
+    thresholds at one center (within ulps of each) is computed and
+    counted once.  Once the exact values spent at c would pass half the
+    level, the whole row is computed at c instead and becomes the
+    reference.
     """
 
     def __init__(
@@ -199,10 +199,16 @@ class _ShiftedRow:
 
     def _exact(self, idx: np.ndarray) -> np.ndarray:
         """Exact row values of the points idx at the current center."""
-        self.spent += idx.size
-        if 2 * self.spent > self.ref_row.size:
-            return self._rebase(self.center)[idx]
-        return self.space.distances(self.points.take(idx, axis=0), self.center)
+        if self.known is None:
+            # the values computed at this center; NaN where none is yet
+            self.known = np.full(self.ref_row.size, np.nan)
+        new = idx[np.isnan(self.known[idx])]
+        if new.size:
+            self.spent += new.size
+            if 2 * self.spent > self.ref_row.size:
+                return self._rebase(self.center)[idx]
+            self.known[new] = self.space.distances(self.points.take(new, axis=0), self.center)
+        return self.known[idx]
 
     def __le__(self, t: float) -> np.ndarray:
         if self.center is self.ref:
@@ -212,7 +218,7 @@ class _ShiftedRow:
         if self.shift is None:
             # the one-row distances call, without its argument checks
             self.shift = float(self.space.norms((self.center - self.ref)[None, :])[0])
-            self.spent = 0
+            self.spent, self.known = 0, None
         s = self.shift
         margin = self.mu * (t + s)
         hi = t + s + margin
