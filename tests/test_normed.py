@@ -576,9 +576,8 @@ def test_shifted_row_masks_equal_the_exact_row(seed, p, d, scale, moves, ulps):
 
 
 def test_shifted_row_spends_at_most_half_the_level_on_exact_values():
-    # exact values are not kept: asked twice at one center, the undecided
-    # points are counted twice, and past half the level the whole row is
-    # computed there instead; later tests at that center cost no row
+    # exact values are kept until the center moves: asked again at one
+    # center, the undecided points cost nothing
     angles = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
     ring = np.column_stack([np.cos(angles), np.sin(angles)])
     points = np.vstack([ring, 0.5 * ring])
@@ -592,8 +591,8 @@ def test_shifted_row_spends_at_most_half_the_level_on_exact_values():
         before = space.rows
         assert (row <= 1.0).tobytes() == exact.tobytes()
         spent.append(space.rows - before)
-    # the shift and the 200 points on the unit ring, then the whole row
-    assert spent == [1 + 200, 400, 0]
+    # the shift and the 200 points on the unit ring, then nothing
+    assert spent == [1 + 200, 0, 0]
 
 
 # ---------------------------------------------------------------------------
