@@ -595,6 +595,26 @@ def test_shifted_row_spends_at_most_half_the_level_on_exact_values():
     assert spent == [1 + 200, 0, 0]
 
 
+def test_shifted_row_computes_the_whole_row_once_exact_values_pass_half_the_level():
+    # the two rings are undecided at thresholds 1 and 0.5 in turn: 400 new
+    # exact values would pass half the level, so the whole row is computed
+    # at the center instead, and later tests there cost no row
+    angles = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    points = np.vstack([ring, 0.5 * ring])
+    space = RowCountingLp(2.0, 2)
+    row = normed._ShiftedRow(points, space, np.zeros(2), mu=4.0 * space._allowance)
+    center = np.array([1e-9, 0.0])
+    row.at(center)
+    exact = space.distances(points, center)
+    spent = []
+    for t in (1.0, 0.5, 1.0, 0.5):
+        before = space.rows
+        assert (row <= t).tobytes() == (exact <= t).tobytes()
+        spent.append(space.rows - before)
+    assert spent == [1 + 200, 400, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Inherited rows: a certified level's first reference row is the reduced
 # level's, copied for the pair survivors, with only the partners computed.
