@@ -45,7 +45,11 @@ class NormedSpaceOps(ABC):
     Addition, subtraction, and scaling are plain numpy arithmetic;
     subclasses supply the norm as one batched primitive, ``norms`` (the
     row-wise norm of an (m, d) array).  ``norm`` and ``distances`` are
-    served by it.
+    served by it.  A row's ``norms`` value must not depend on the other
+    rows of the batch, nor on the batch's length or layout: solvers
+    build a distance row from rows computed over parts of the points
+    (``cover``'s below-half memo, ``normed._inherited_row``) and rely on
+    its bits being those of one ``distances`` call.
     """
 
     # relative rounding allowance of one computed distance row, or None

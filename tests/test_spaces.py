@@ -287,3 +287,33 @@ def test_norms_of_more_than_one_block_equal_blocked_distances(p, layout):
     assert got.tobytes() == space.distances(vs, np.zeros(7)).tobytes()
     assert got.tobytes() == np.concatenate([space.norms(vs[lo : lo + 1000]) for lo in range(0, len(vs), 1000)]).tobytes()
     assert np.array_equal(vs, before)
+
+
+_SPLIT_SPACES = [("lp", p, d) for p in (1.0, 2.0, 3.0, math.inf) for d in (1, 3, 9)] + [("op", k, k * k) for k in (1, 2, 3)]
+
+
+@given(
+    space=st.sampled_from(_SPLIT_SPACES),
+    m=st.one_of(st.integers(1, 40), st.sampled_from([spaces._BLOCK + 1, 2 * spaces._BLOCK + 3])),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_distances_over_a_split_batch_equal_the_whole_batch_bit_for_bit(space, m, layout, seed, data):
+    # a row's value depends only on its point and the center, so rows
+    # computed over any parts of a batch, or over a gather of its points,
+    # are the whole batch's row
+    kind, p, d = space
+    space = OperatorNormSpace(p) if kind == "op" else LpSpace(p, d)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2 * m, d)) * 2.0 ** rng.integers(-30, 30, size=(2 * m, d))
+    points = {"C": x[:m], "F": np.asfortranarray(x[:m]), "strided": x[::2]}[layout]
+    center = rng.normal(size=d)
+    whole = space.distances(points, center)
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=4)))
+    bounds = [0, *cuts, m]
+    parts = [space.distances(points[a:b], center) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    idx = rng.permutation(m)[: data.draw(st.integers(1, m))]
+    assert space.distances(points.take(idx, axis=0), center).tobytes() == whole[idx].tobytes()
