@@ -14,8 +14,11 @@ from onecenter import cli
 from onecenter.cli import main
 from onecenter.formats import save_instance, write_matrix, write_points_csv
 from onecenter.generate import generate_planted
+from onecenter.lp import lp_coordinate_median
 from onecenter.normed import halfplus_constant
 from onecenter.opnorm import median_counterexample_report
+
+from conftest import RowCountingLp
 
 
 def run_cli(argv, capsys):
@@ -334,6 +337,29 @@ def test_search_r_verifies_each_ball_once(lp_csv, capsys, monkeypatch):
     # one check per radius tried, the last of them the reported ball's
     assert len(calls) == len(set(calls)) >= 1
     assert calls[-1] == doc["radius"]
+
+
+def test_lp_median_solve_spends_one_distance_row_after_the_median(lp_csv, capsys, monkeypatch):
+    # the radius and the verdict read the same row of n norms
+    path, inst = lp_csv
+    made, at_median = [], []
+
+    class Counting(RowCountingLp):
+        def __init__(self, p, d):
+            super().__init__(p, d)
+            made.append(self)
+
+    def median(ps, space, alpha):
+        x = lp_coordinate_median(ps, space, alpha)
+        at_median.append(space.rows)
+        return x
+
+    monkeypatch.setattr(cli, "LpSpace", Counting)
+    monkeypatch.setattr(cli, "lp_coordinate_median", median)
+    code, doc, _ = run_cli(["solve", "--input", path, "--alpha", "0.75"], capsys)
+    assert code == 0 and doc["verified"] is True
+    (space,) = made
+    assert space.rows - at_median[0] == inst.ps.n
 
 
 @pytest.mark.parametrize(

@@ -518,6 +518,22 @@ def test_lazy_below_half_norm_rows_are_linear_in_n_on_planted_gap_instances():
     assert abs(_loglog_slope(cover_ns, covers) - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("n, seed, cover_rows, any_alpha_rows", [(1024, 1, 17_636, 10_357), (4096, 0, 64_154, 35_967)])
+def test_below_half_norm_rows_on_fixed_gap_instances(n, seed, cover_rows, any_alpha_rows):
+    # planted l_2, d=2, alpha 0.3 gap instances.  A block of 64 or more
+    # points builds a child's candidate's row from the child's half row,
+    # and both solvers cover or verify from the top block's memoized row
+    # of each center they take; computing those rows afresh cost 19,684
+    # and 12,373 rows at n=1,024, 72,314 and 44,127 at n=4,096
+    inst = generate_planted("lp", n=n, d=2, alpha=0.3, r=1.0, seed=seed, mode="gap")
+    rows = []
+    for solve in (below_half_cover, cluster_any_alpha):
+        space = RowCountingLp(2.0, 2)
+        solve(inst.ps, space, 0.3, inst.r)
+        rows.append(space.rows)
+    assert rows == [cover_rows, any_alpha_rows]
+
+
 def test_lazy_below_half_recursion_skips_most_rows_of_the_eager_reference():
     # cluster_any_alpha stops at its first verified center; the eager
     # reference builds every candidate list in full.  Measured at n=1,024:
