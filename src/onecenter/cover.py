@@ -180,14 +180,12 @@ def ball_cover(
 # gap-condition cover (index-halving recursion)
 
 
-# Blocks of fewer points compute a candidate's row whole.  A small
-# distances call costs about the same whatever its rows, so a half's
-# call plus the concatenation is the slower way there (l_2, d=2, in
-# process: 5.1 against 4.4 us at 64 points, 8.3 against 6.2 at 4; at
-# 1,024 it is 15.8 against 19.6).  On normed-gap (seed 90) a job's
-# candidate rows reuse a half 253 times below this size and 6 times
-# from it: the small blocks would save 760 more rows for about 0.4 ms
-# of a 23 ms job.
+# Blocks of fewer points compute a candidate's row whole: a small
+# distances call costs about the same whatever its rows, so there a
+# half's call plus the concatenation is slower (l_2, d=2, in process:
+# 8.3 against 6.2 us at 4 points, 5.1 against 4.4 at 64, 15.8 against
+# 19.6 at 1,024).  A normed-gap job (seed 90) reuses a half 253 times
+# below this size, for 760 rows, and 6 times from it, for 448.
 _REUSE_MIN_ROWS = 64
 
 
@@ -215,6 +213,8 @@ def _below_half_centers(
     # the top-level call and caches what depends only on the block:
     # distance rows under (lo, n, center bytes), first-level pair norms
     # under (lo, n).  Every miss goes through space.distances or _pair_gaps.
+    # A block of two or more points yields each center with its row
+    # memoized, which the parent block and the top-level caller reuse.
     # A generator: each center is computed only when the consumer asks
     # for it, in the same order as a full list would hold them, so a
     # consumer that stops early skips the rest (the right child, the
@@ -236,41 +236,29 @@ def _below_half_centers(
         )
     )
 
-    def dist(c: np.ndarray) -> np.ndarray:
-        key = (lo, n, c.tobytes())
-        d = memo.get(key)
-        if d is None:
-            d = memo[key] = space.distances(points, c)
-        return d
-
-    def candidate_dist(z: np.ndarray) -> np.ndarray:
-        # a child yields each center with its row over that child's
-        # half memoized; the block's row is that half's row and the
-        # other half's, which is the whole row bit for bit (a row value
-        # depends only on its point and the center)
-        key = z.tobytes()
+    def dist(c: np.ndarray, candidate: bool = False) -> np.ndarray:
+        key = c.tobytes()
         d = memo.get((lo, n, key))
-        if d is not None:
-            return d
-        left = right = None
-        if n >= _REUSE_MIN_ROWS:
-            left, right = memo.get((lo, half, key)), memo.get((lo + half, half, key))
-        if left is None and right is None:
-            d = space.distances(points, z)
-        else:
-            if left is None:
-                left = space.distances(points[:half], z)
-            if right is None:
-                right = space.distances(points[half:], z)
-            d = np.concatenate((left, right))
-        memo[(lo, n, key)] = d
+        if d is None:
+            if candidate and n >= _REUSE_MIN_ROWS:
+                # the child that yielded c memoized its row over that
+                # half; with the other half's it is the whole row, bit
+                # for bit (a row value depends only on its point and c)
+                left, right = memo.get((lo, half, key)), memo.get((lo + half, half, key))
+                d = np.concatenate((
+                    space.distances(points[:half], c) if left is None else left,
+                    space.distances(points[half:], c) if right is None else right,
+                ))
+            else:
+                d = space.distances(points, c)
+            memo[(lo, n, key)] = d
         return d
 
     y = alpha * w
     C = 2.0 + 2.0 / alpha
     hit = None
     for z in candidates:
-        near = candidate_dist(z) <= (C + 2.0) * r
+        near = dist(z, candidate=True) <= (C + 2.0) * r
         bw = float(np.add.reduce(weights[near]))
         if bw < y:
             continue
@@ -305,7 +293,7 @@ def _below_half_centers(
 def _center_row(ps: WeightedPointSet, space: NormedSpaceOps, memo: dict, center: np.ndarray) -> np.ndarray:
     # space.distances(ps.coords, center) for a center that the top-level
     # _below_half_centers call yielded: the top block's memoized row, cut
-    # to the unpadded n.  A single point yields without a row.
+    # to the unpadded n, or a fresh row for a single point
     row = memo.get((0, 1 << (ps.n - 1).bit_length(), center.tobytes()))
     return space.distances(ps.coords, center) if row is None else row[: ps.n]
 
