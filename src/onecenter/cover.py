@@ -290,7 +290,7 @@ def _below_half_centers(
     yield from _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
 
 
-def _center_row(ps: WeightedPointSet, space: NormedSpaceOps, memo: dict, center: np.ndarray) -> np.ndarray:
+def _yielded_row(ps: WeightedPointSet, space: NormedSpaceOps, memo: dict, center: np.ndarray) -> np.ndarray:
     # space.distances(ps.coords, center) for a center that the top-level
     # _below_half_centers call yielded: the top block's memoized row, cut
     # to the unpadded n, or a fresh row for a single point
@@ -337,7 +337,7 @@ def below_half_cover(
     remaining = ps.weights.copy()
     balls = []
     for center in centers:
-        mask = _center_row(ps, space, memo, center) <= C * r
+        mask = _yielded_row(ps, space, memo, center) <= C * r
         covered = float(np.sum(remaining[mask]))
         balls.append(CandidateBall(center=center, radius=C * r, covered_weight=covered))
         remaining = remaining.copy()
@@ -382,7 +382,7 @@ def cluster_any_alpha(
         R = base**s * r
         for z in _below_half_centers(points, weights, space, beta, R, 0, memo):
             radius = vf * R
-            covered = float(np.sum(ps.weights[_center_row(ps, space, memo, z) <= radius]))
+            covered = float(np.sum(ps.weights[_yielded_row(ps, space, memo, z) <= radius]))
             if covered >= alpha * w:
                 return CandidateBall(center=z, radius=radius, covered_weight=covered)
     return None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from onecenter import (
     ArgumentError,
     LpSpace,
+    OperatorNormSpace,
     UnsupportedFractionError,
     WeightedPointSet,
     any_alpha_constant,
@@ -532,6 +533,25 @@ def test_below_half_norm_rows_on_fixed_gap_instances(n, seed, cover_rows, any_al
         solve(inst.ps, space, 0.3, inst.r)
         rows.append(space.rows)
     assert rows == [cover_rows, any_alpha_rows]
+
+
+@pytest.mark.parametrize("space", [LpSpace(p, 4) for p in (1.0, 2.0, 3.0, math.inf)] + [OperatorNormSpace(2)],
+                         ids=["lp-p1", "lp-p2", "lp-p3", "lp-pinf", "opnorm-k2"])
+def test_memo_rows_built_from_halves_are_the_whole_rows_bit_for_bit(space):
+    # blocks of 64 or more points build a candidate's row from the
+    # halves' memoized rows; every memo entry is the row computed whole
+    inst = generate_planted("lp", n=1000, d=4, alpha=0.3, r=1.0, seed=2, mode="gap")
+    points, weights = cover._pad_pow2(inst.ps.coords, inst.ps.weights)
+    memo = {}
+    list(cover._below_half_centers(points, weights, space, 0.3, inst.r, 0, memo))
+    built = 0
+    for key, row in memo.items():
+        if len(key) == 3:
+            lo, n, c = key
+            assert row.tobytes() == space.distances(points[lo : lo + n], np.frombuffer(c)).tobytes()
+            halves = ((lo, n // 2, c), (lo + n // 2, n // 2, c))
+            built += n >= cover._REUSE_MIN_ROWS and any(h in memo for h in halves)
+    assert built > 0
 
 
 def test_lazy_below_half_recursion_skips_most_rows_of_the_eager_reference():
