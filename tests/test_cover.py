@@ -504,10 +504,11 @@ def test_lazy_below_half_norm_rows_are_linear_in_n_on_planted_gap_instances():
 
     This pins what the lazy recursion does on these instances, not the
     paper's worst-case bound.  Measured rows per point: cluster_any_alpha
-    14.3 / 14.5 / 14.5 / 14.5 at n = 1,024 / 4,096 / 16,384 / 65,536
-    (log-log slope 1.003); below_half_cover 21.0 / 20.5 / 20.5 at n =
-    1,024 / 4,096 / 16,384 (slope 0.992).  The bounds, 16 and 23, are
-    about 10% above the largest measured value.
+    10.1 / 8.8 / 8.2 / 8.1 at n = 1,024 / 4,096 / 16,384 / 65,536
+    (log-log slope 0.947); below_half_cover 17.2 / 15.6 / 15.2 at n =
+    1,024 / 4,096 / 16,384 (slope 0.956).  The bounds, 16 and 23, were
+    set about 10% above the largest values measured when the test was
+    written, 14.5 and 21.0, before the memo reused rows across blocks.
     """
     ns = [1024, 4096, 16384, 65536]
     any_alpha = [_gap_rows_per_point(cluster_any_alpha, n) for n in ns]
