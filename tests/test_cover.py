@@ -508,7 +508,7 @@ def test_lazy_below_half_norm_rows_are_linear_in_n_on_planted_gap_instances():
     (log-log slope 0.947); below_half_cover 17.2 / 15.6 / 15.2 at n =
     1,024 / 4,096 / 16,384 (slope 0.956).  The bounds, 16 and 23, were
     set about 10% above the largest values measured when the test was
-    written, 14.5 and 21.0, before the memo reused rows across blocks.
+    written, 14.5 and 21.0.
     """
     ns = [1024, 4096, 16384, 65536]
     any_alpha = [_gap_rows_per_point(cluster_any_alpha, n) for n in ns]
