@@ -118,12 +118,12 @@ def _load_input(args):
     return inst.kind, inst.ps, inst.space_ops(), inst
 
 
-def _resolve_r(args, inst) -> float | None:
+def _resolve_r(args, inst, constant: float = 1.0) -> float | None:
     r = args.r
     if r is None and inst is not None:
         r = inst.r
     if r is not None:
-        require_radius(r)
+        require_radius(r, constant)
     return r
 
 
@@ -180,15 +180,15 @@ def _brute_force(ps, oracle, args, inst) -> dict:
 
 
 def _lp_median(ps, ops, args, inst) -> dict:
+    finite_p = not math.isinf(ops.p)
+    constant = lp_median_bound(args.alpha, ops.p) + 1.0 if finite_p else None
+    r = _resolve_r(args, inst, constant or 1.0)
     x = lp_coordinate_median(ps, ops, args.alpha)
     # the radius and verify_ball's checks and verdict read one distance row
     row = ops.distances(ps.coords, x)
     radius = weighted_quantile_radius(row, ps.weights, args.alpha)
     _check_ball(ps, ops, x, radius, args.alpha, args.verify_tol)
     ok, covered = _ball_verdict(ps, row, radius, args.alpha, args.verify_tol)
-    finite_p = not math.isinf(ops.p)
-    constant = lp_median_bound(args.alpha, ops.p) + 1.0 if finite_p else None
-    r = _resolve_r(args, inst)
     fields = dict(p=ops.p if finite_p else "inf", approx_constant=constant, query_count=None, verified=ok)
     if r is not None and finite_p:
         fields["bound_radius"] = constant * r

@@ -8,6 +8,7 @@ index and ``coords`` is None.  All balls are closed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -120,10 +121,14 @@ def require_positive_weight(ps: WeightedPointSet) -> None:
         raise ArgumentError("total weight must be positive")
 
 
-def require_radius(r: float) -> None:
-    """Raise ArgumentError unless the assumed inlier radius r is finite and positive."""
+def require_radius(r: float, constant: float = 1.0) -> None:
+    """Raise ArgumentError unless the assumed inlier radius r is finite and
+    positive and a solver's ball radius, constant * r, is a finite double."""
     if not 0.0 < r < math.inf:
         raise ArgumentError(f"r must be finite and positive, got {r}")
+    if constant * r == math.inf:
+        limit = sys.float_info.max / constant
+        raise ArgumentError(f"r={r} times the radius constant {constant} overflows; keep r below about {limit:.6g}")
 
 
 def require_fraction(alpha: float, above_half: bool = False) -> None:
@@ -174,9 +179,12 @@ def covered_weight(ps: WeightedPointSet, space, center: PointHandle, radius: flo
 def _center_row(ps: WeightedPointSet, space, center: PointHandle) -> np.ndarray:
     """Distance from every point of ps to center: the oracle's counted
     sweep from a center index, or ``space.distances`` from a coordinate
-    vector."""
+    vector, which must be finite."""
     if require_pairing(ps, space):
         if not isinstance(center, (int, np.integer)):
             raise ArgumentError("oracle-backed covered_weight needs a center index")
         return space.sweep(int(center))
-    return space.distances(ps.coords, np.asarray(center, dtype=np.float64))
+    center = np.asarray(center, dtype=np.float64)
+    if not np.all(np.isfinite(center)):
+        raise ArgumentError("center coordinates must be finite")
+    return space.distances(ps.coords, center)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -150,7 +151,7 @@ def ball_cover(
         raise ArgumentError(f"need 0 < alpha <= beta <= 1, got alpha={alpha}, beta={beta}")
     if not 0.0 < C < math.inf:
         raise ArgumentError(f"C must be finite and positive, got {C}")
-    require_radius(r)
+    require_radius(r, C)
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     y = beta * ps.total_weight
@@ -180,7 +181,7 @@ def ball_cover(
 # gap-condition cover (index-halving recursion)
 
 
-# Blocks of fewer points compute a candidate's row whole: a small
+# Blocks of fewer points compute every row whole: a small
 # distances call costs about the same whatever its rows, so there a
 # half's call plus the concatenation is slower (l_2, d=2, in process:
 # 8.3 against 6.2 us at 4 points, 5.1 against 4.4 at 64, 15.8 against
@@ -199,28 +200,68 @@ def _dedupe_rows(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
             yield row
 
 
+class _BlockRows:
+    """The rows of one top-level below-half call: ps padded to a power of
+    two with zero-weight copies of its first point, and the distance rows
+    and first-level pair norms of its blocks, each computed at most once.
+
+    A block is the padded array's slice of n points at offset lo, n a
+    power of two.  Neither a row nor the gaps depend on the weights, the
+    fraction or the radius, so one store serves every recursion level,
+    peeled re-solve and scale of the call, and a hit is the bits a miss
+    would compute.  Every miss goes through space.distances or _pair_gaps.
+    """
+
+    def __init__(self, ps: WeightedPointSet, space: NormedSpaceOps):
+        self.space, self.n = space, ps.n
+        pad = (1 << (ps.n - 1).bit_length()) - ps.n
+        self.points = np.vstack([ps.coords, np.repeat(ps.coords[:1], pad, axis=0)]) if pad else ps.coords
+        self.weights = np.concatenate([ps.weights, np.zeros(pad)]) if pad else ps.weights
+        self._memo: dict = {}
+
+    def row(self, lo: int, n: int, c: np.ndarray) -> np.ndarray:
+        """space.distances(block, c), from the memo if it holds the row.
+        In a block of _REUSE_MIN_ROWS or more points where a half's row
+        is held, the halves' rows joined, which is the whole row bit for
+        bit (a row value depends only on its point and c)."""
+        key = (lo, n, c.tobytes())
+        d = self._memo.get(key)
+        if d is None:
+            half = n // 2
+            if n >= _REUSE_MIN_ROWS and ((lo, half, key[2]) in self._memo or (lo + half, half, key[2]) in self._memo):
+                d = np.concatenate((self.row(lo, half, c), self.row(lo + half, half, c)))
+            else:
+                d = self.space.distances(self.points[lo : lo + n], c)
+            self._memo[key] = d
+        return d
+
+    def gaps(self, lo: int, n: int) -> np.ndarray:
+        """_pair_gaps of the block, from the memo if it holds them."""
+        g = self._memo.get((lo, n))
+        if g is None:
+            g = self._memo[(lo, n)] = _pair_gaps(self.space, self.points[lo : lo + n])
+        return g
+
+    def top_row(self, c: np.ndarray) -> np.ndarray:
+        """space.distances(ps.coords, c) for a center the top-level call
+        yielded: the whole array's row, held from two points up, cut to ps.n."""
+        return self.row(0, self.points.shape[0], c)[: self.n]
+
+
 def _below_half_centers(
-    points: np.ndarray,
-    weights: np.ndarray,
-    space: NormedSpaceOps,
-    alpha: float,
-    r: float,
-    lo: int,
-    memo: dict,
+    rows: _BlockRows, weights: np.ndarray, alpha: float, r: float, lo: int
 ) -> Iterator[np.ndarray]:
-    # points is the block at offset lo of the padded array, of
-    # power-of-two length; weights may contain zeros.  memo belongs to
-    # the top-level call and caches what depends only on the block:
-    # distance rows under (lo, n, center bytes), first-level pair norms
-    # under (lo, n).  Every miss goes through space.distances or _pair_gaps.
-    # A block of two or more points yields each center with its row
-    # memoized, which the parent block and the top-level caller reuse.
+    # weights are those of rows' block at offset lo, of power-of-two
+    # length, and may contain zeros.  A block of two or more points
+    # yields each center with its row held in rows, which the parent
+    # block and the top-level caller reuse.
     # A generator: each center is computed only when the consumer asks
     # for it, in the same order as a full list would hold them, so a
     # consumer that stops early skips the rest (the right child, the
-    # peeled re-solve).  No caller may mutate points or weights while
-    # the generator is live.
-    n = points.shape[0]
+    # peeled re-solve).  No caller may mutate weights while the
+    # generator is live.
+    n = weights.shape[0]
+    points = rows.points[lo : lo + n]
     if n == 1:
         if weights[0] > 0.0:
             yield points[0]
@@ -231,45 +272,24 @@ def _below_half_centers(
     half = n // 2
     candidates = _dedupe_rows(
         chain(
-            _below_half_centers(points[:half], weights[:half], space, alpha, r, lo, memo),
-            _below_half_centers(points[half:], weights[half:], space, alpha, r, lo + half, memo),
+            _below_half_centers(rows, weights[:half], alpha, r, lo),
+            _below_half_centers(rows, weights[half:], alpha, r, lo + half),
         )
     )
-
-    def dist(c: np.ndarray, candidate: bool = False) -> np.ndarray:
-        key = c.tobytes()
-        d = memo.get((lo, n, key))
-        if d is None:
-            if candidate and n >= _REUSE_MIN_ROWS:
-                # the child that yielded c memoized its row over that
-                # half; with the other half's it is the whole row, bit
-                # for bit (a row value depends only on its point and c)
-                left, right = memo.get((lo, half, key)), memo.get((lo + half, half, key))
-                d = np.concatenate((
-                    space.distances(points[:half], c) if left is None else left,
-                    space.distances(points[half:], c) if right is None else right,
-                ))
-            else:
-                d = space.distances(points, c)
-            memo[(lo, n, key)] = d
-        return d
-
     y = alpha * w
     C = 2.0 + 2.0 / alpha
     hit = None
     for z in candidates:
-        near = dist(z, candidate=True) <= (C + 2.0) * r
+        near = rows.row(lo, n, z) <= (C + 2.0) * r
         bw = float(np.add.reduce(weights[near]))
         if bw < y:
             continue
         # restrict to the (C+2)r ball; inside it the target ball holds a
         # clear majority, so the above-half solver applies
         fraction = (bw + y) / (2.0 * bw)
-        gaps = memo.get((lo, n))
-        if gaps is None:
-            gaps = memo[(lo, n)] = _pair_gaps(space, points)
         u, du = _halfplus_center(
-            points, np.where(near, weights, 0.0), space, fraction, r, dist, gaps
+            points, np.where(near, weights, 0.0), rows.space, fraction, r,
+            partial(rows.row, lo, n), rows.gaps(lo, n),
         )
         if float(np.add.reduce(weights[du <= C * r])) >= y:
             hit = (u, du)
@@ -287,27 +307,7 @@ def _below_half_centers(
     rest = float(np.add.reduce(peeled))
     if rest < y or rest <= 0.0:
         return
-    yield from _below_half_centers(points, peeled, space, min(y / rest, 1.0), r, lo, memo)
-
-
-def _yielded_row(ps: WeightedPointSet, space: NormedSpaceOps, memo: dict, center: np.ndarray) -> np.ndarray:
-    # space.distances(ps.coords, center) for a center that the top-level
-    # _below_half_centers call yielded: the top block's memoized row, cut
-    # to the unpadded n, or a fresh row for a single point
-    row = memo.get((0, 1 << (ps.n - 1).bit_length(), center.tobytes()))
-    return space.distances(ps.coords, center) if row is None else row[: ps.n]
-
-
-def _pad_pow2(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = points.shape[0]
-    size = 1 << (n - 1).bit_length()
-    if size == n:
-        return points, weights
-    pad = size - n
-    return (
-        np.vstack([points, np.repeat(points[:1], pad, axis=0)]),
-        np.concatenate([weights, np.zeros(pad)]),
-    )
+    yield from _below_half_centers(rows, peeled, min(y / rest, 1.0), r, lo)
 
 
 def below_half_cover(
@@ -326,21 +326,18 @@ def below_half_cover(
     candidates are computed only if the earlier ones all fail; the
     cover needs every center and drains the top-level generator.
     """
-    require_fraction(alpha)
-    require_radius(r)
+    C = gap_constant(alpha)
+    require_radius(r, C)
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
-    points, weights = _pad_pow2(ps.coords, ps.weights)
-    memo: dict = {}
-    centers = list(_below_half_centers(points, weights, space, alpha, r, 0, memo))
-    C = gap_constant(alpha)
+    rows = _BlockRows(ps, space)
+    centers = list(_below_half_centers(rows, rows.weights, alpha, r, 0))
     remaining = ps.weights.copy()
     balls = []
     for center in centers:
-        mask = _yielded_row(ps, space, memo, center) <= C * r
+        mask = rows.top_row(center) <= C * r
         covered = float(np.sum(remaining[mask]))
         balls.append(CandidateBall(center=center, radius=C * r, covered_weight=covered))
-        remaining = remaining.copy()
         remaining[mask] = 0.0
     return CoverResult(tuple(balls), alpha, C)
 
@@ -365,24 +362,20 @@ def cluster_any_alpha(
     computed once a candidate verifies; the answer is the one a full
     cover would give, bit for bit.
     """
-    require_fraction(alpha)
-    require_radius(r)
+    # refuse a constant or a radius past the double range before any norm row
+    require_radius(r, any_alpha_constant(alpha))
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
-    any_alpha_constant(alpha)  # refuse a constant past the double range before any norm row
-    points, weights = _pad_pow2(ps.coords, ps.weights)
     w = ps.total_weight
     beta = alpha / 2.0
     base = scale_base(alpha)
     vf = verify_factor(alpha)
-    # distance rows and pair norms depend on neither the fraction nor the
-    # radius, so one memo serves every scale
-    memo: dict = {}
+    rows = _BlockRows(ps, space)  # one store serves every scale
     for s in range(scale_count(alpha) + 1):
         R = base**s * r
-        for z in _below_half_centers(points, weights, space, beta, R, 0, memo):
+        for z in _below_half_centers(rows, rows.weights, beta, R, 0):
             radius = vf * R
-            covered = float(np.sum(ps.weights[_yielded_row(ps, space, memo, z) <= radius]))
+            covered = float(np.sum(ps.weights[rows.top_row(z) <= radius]))
             if covered >= alpha * w:
                 return CandidateBall(center=z, radius=radius, covered_weight=covered)
     return None
@@ -448,7 +441,7 @@ def bucket_reduce(
         raise UnsupportedFractionError(
             f"bucket_reduce needs alpha <= 1/2 so that sqrt(2*alpha) <= 1, got {alpha}"
         )
-    require_radius(r)
+    require_radius(r, bucket_constant(inner.constant))
     require_pairing(ps, space, (NormedSpaceOps,))
     if inner.min_fraction > alpha:
         raise ArgumentError(
@@ -555,7 +548,7 @@ def cluster_logtower(
     require_pairing(ps, space, (NormedSpaceOps,))
     if k == 0:
         return cluster_any_alpha(ps, space, beta, r)
-    logtower_constant(beta, k)  # refuse a constant past the double range before any norm row
+    require_radius(r, logtower_constant(beta, k))  # refuse a constant or radius past the double range
     base_fraction = logtower_base_fraction(beta, k)
     exponent = int(math.floor(2.0 / base_fraction))
     f = _polylog_fn(exponent)

@@ -114,7 +114,7 @@ def centroid_refine(
     require_fraction(alpha, above_half=True)
     eps = alpha - 0.5
     require_radius(r)
-    if K < 2.0 + 1.0 / eps - 1e-9:
+    if not K >= 2.0 + 1.0 / eps - 1e-9:
         raise ArgumentError(f"K must be at least 2 + 1/eps = {2 + 1/eps}, got {K}")
     require_pairing(ps, space, (NormedSpaceOps,))
     a = np.asarray(a, dtype=np.float64)
@@ -352,8 +352,7 @@ def cluster_halfplus(
     level's refine loop makes at most refine_iteration_cap(alpha)
     passes over it.  Fully deterministic.
     """
-    require_fraction(alpha, above_half=True)
-    require_radius(r)
+    require_radius(r, halfplus_constant(alpha))
     require_pairing(ps, space, (NormedSpaceOps,))
     require_positive_weight(ps)
     center, row = _halfplus_center(ps.coords, ps.weights, space, alpha, r)

@@ -48,7 +48,7 @@ class NormedSpaceOps(ABC):
     served by it.  A row's ``norms`` value must not depend on the other
     rows of the batch, nor on the batch's length or layout: solvers
     build a distance row from rows computed over parts of the points
-    (``cover``'s below-half memo, ``normed._inherited_row``) and rely on
+    (``cover._BlockRows``, ``normed._inherited_row``) and rely on
     its bits being those of one ``distances`` call.
     """
 

@@ -53,8 +53,6 @@ def _check_ball(ps: WeightedPointSet, space, center, radius: float, alpha: float
         raise ArgumentError(f"radius must be finite and nonnegative, got {radius}")
     if not 0.0 <= rel_tol < math.inf:
         raise ArgumentError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
-    if not require_pairing(ps, space) and not np.all(np.isfinite(center)):
-        raise ArgumentError("center coordinates must be finite")
 
 
 def _ball_verdict(
@@ -109,7 +107,7 @@ def las_vegas_baseline(
     Returns (ball or None, attempts made).
     """
     require_fraction(alpha)
-    require_radius(r)
+    require_radius(r, 2.0)
     require_positive_weight(ps)
     oracle_mode = require_pairing(ps, space)
     seed = require_int("seed", seed, 0)

@@ -152,6 +152,24 @@ def test_non_finite_r_is_a_usage_error(lp_csv, capsys, argv, r):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--alpha", "0.3", "--r", "1e308"],
+        ["solve", "--alpha", "0.75", "--r", "1e308"],
+        ["baseline", "--alpha", "0.75", "--r", "1.5e308"],
+        ["solve", "--solver", "halfplus", "--alpha", "0.75", "--r", "1e308"],
+        ["solve", "--solver", "any-alpha", "--alpha", "0.3", "--r", "1e308"],
+        ["solve", "--solver", "logtower", "--alpha", "0.3", "--r", "1e308"],
+    ],
+)
+def test_a_finite_r_whose_ball_radius_overflows_is_a_usage_error(lp_csv, argv):
+    # a fresh process, so nothing reaches stdout, not even a JSON Infinity
+    out = subprocess.run([sys.executable, "-m", "onecenter", *argv, "--input", lp_csv[0]], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("error:") and "overflows" in out.stderr
+
+
 @pytest.mark.parametrize("flag", ["--r", "--separation"])
 def test_gen_non_finite_scale_is_a_usage_error(tmp_path, capsys, flag):
     argv = ["gen", "--space", "lp", "--n", "50", "--alpha", "0.75", flag, "nan", "--out", str(tmp_path / "p.csv")]

@@ -125,6 +125,13 @@ def test_covered_weight_rejects_a_nan_radius():
         covered_weight(ps, LpSpace(2, 2), np.zeros(2), math.nan)
 
 
+def test_covered_weight_rejects_a_non_finite_center_as_verify_ball_does():
+    ps = WeightedPointSet.from_coords([[0.0, 0.0], [3.0, 4.0]])
+    for center in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ArgumentError, match="finite"):
+            covered_weight(ps, LpSpace(2, 2), center, 1.0)
+
+
 _IDX4 = WeightedPointSet.indexed(4)
 _LINE4 = MatrixOracle(np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0))))
 _LP_PS = WeightedPointSet.from_coords(np.zeros((4, 2)))

@@ -1,6 +1,7 @@
 """Multi-ball covers, the gap-condition solver, and bucket composition."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -21,9 +22,12 @@ from onecenter import (
     bucket_constant,
     bucket_reduce,
     cluster_any_alpha,
+    cluster_halfplus,
     cluster_logtower,
     gap_constant,
     generate_planted,
+    halfplus_constant,
+    las_vegas_baseline,
     logtower_base_fraction,
     logtower_constant,
     scale_base,
@@ -340,6 +344,30 @@ def test_logtower_overflow_guard():
         assert space.rows == 0
 
 
+def test_a_finite_r_whose_ball_radius_overflows_is_refused_before_any_norm_row():
+    # each solver takes r up to the largest double over its radius constant
+    ps = WeightedPointSet.from_coords(np.random.default_rng(0).normal(size=(16, 2)))
+    cases = [
+        (halfplus_constant(0.75), 1e308, lambda space, r: cluster_halfplus(ps, space, 0.75, r)),
+        (any_alpha_constant(0.3), 1e308, lambda space, r: cluster_any_alpha(ps, space, 0.3, r)),
+        (gap_constant(0.3), 1e308, lambda space, r: below_half_cover(ps, space, 0.3, r)),
+        (logtower_constant(0.6, 1), 1e300, lambda space, r: cluster_logtower(ps, space, 0.6, 1, r)),
+        (10.0, 1e308, lambda space, r: ball_cover(lambda p, f, s: None, ps, space, 0.3, 0.3, 10.0, r)),
+        (
+            bucket_constant(any_alpha_constant(0.3)),
+            1e300,
+            lambda space, r: bucket_reduce(ps, space, 0.3, r, lambda m: m, any_alpha_solver(space, 0.3)),
+        ),
+        (2.0, 1.5e308, lambda space, r: las_vegas_baseline(ps, space, 0.3, r, seed=0)),
+    ]
+    for C, r, call in cases:
+        space = RowCountingLp(2.0, 2)
+        with pytest.raises(ArgumentError, match="overflows"):
+            call(space, r)
+        assert space.rows == 0
+        call(space, sys.float_info.max / C / 2.0)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.999])
 def test_logtower_buckets_never_split_an_input_the_library_can_hold(beta, k):
@@ -375,9 +403,8 @@ def _ref_halfplus_center(points, weights, space, alpha, r):
     return _refine_loop(points, weights, space, coarse, alpha, r)[0]
 
 
-def _ref_below_half_centers(points, weights, space, alpha, r, lo=None, memo=None):
-    # lo and memo are accepted so this can stand in for the library's
-    # function, and ignored: every row is computed afresh
+def _ref_below_half_centers(points, weights, space, alpha, r):
+    # every row is computed afresh
     n = points.shape[0]
     if n == 1:
         return [points[0]] if weights[0] > 0.0 else []
@@ -414,6 +441,11 @@ def _ref_below_half_centers(points, weights, space, alpha, r, lo=None, memo=None
     if rest < y or rest <= 0.0:
         return [u]
     return [u] + _ref_below_half_centers(points, peeled, space, min(y / rest, 1.0), r)
+
+
+def _ref_stand_in(rows, weights, alpha, r, lo):
+    # the library's signature: the reference gets its block and the space from the store
+    return _ref_below_half_centers(rows.points[lo : lo + weights.shape[0]], weights, rows.space, alpha, r)
 
 
 def _ball_bits(ball):
@@ -459,7 +491,7 @@ def test_memoized_below_half_recursion_matches_the_reference_bit_for_bit(case):
     fast, slow = RowCountingLp(p, d), RowCountingLp(p, d)
     got_cover = below_half_cover(ps, fast, alpha, r)
     got_ball = cluster_any_alpha(ps, fast, alpha, r)
-    with mock.patch.object(cover, "_below_half_centers", _ref_below_half_centers):
+    with mock.patch.object(cover, "_below_half_centers", _ref_stand_in):
         want_cover = below_half_cover(ps, slow, alpha, r)
         want_ball = cluster_any_alpha(ps, slow, alpha, r)
     assert len(got_cover.balls) == len(want_cover.balls)
@@ -468,9 +500,9 @@ def test_memoized_below_half_recursion_matches_the_reference_bit_for_bit(case):
     assert fast.rows <= slow.rows
     # every memo entry is what its key says: a block's distance row to a
     # center, or a block's first-level pair norms
-    padded, padded_weights = cover._pad_pow2(points, weights)
-    memo = {}
-    list(cover._below_half_centers(padded, padded_weights, slow, alpha, r, 0, memo))
+    rows = cover._BlockRows(ps, slow)
+    list(cover._below_half_centers(rows, rows.weights, alpha, r, 0))
+    padded, memo = rows.points, rows._memo
     # some point has positive weight, so any block of two or more points
     # computes at least one distance row
     assert memo or padded.shape[0] == 1
@@ -542,9 +574,9 @@ def test_memo_rows_built_from_halves_are_the_whole_rows_bit_for_bit(space):
     # blocks of 64 or more points build a candidate's row from the
     # halves' memoized rows; every memo entry is the row computed whole
     inst = generate_planted("lp", n=1000, d=4, alpha=0.3, r=1.0, seed=2, mode="gap")
-    points, weights = cover._pad_pow2(inst.ps.coords, inst.ps.weights)
-    memo = {}
-    list(cover._below_half_centers(points, weights, space, 0.3, inst.r, 0, memo))
+    rows = cover._BlockRows(inst.ps, space)
+    list(cover._below_half_centers(rows, rows.weights, 0.3, inst.r, 0))
+    points, memo = rows.points, rows._memo
     built = 0
     for key, row in memo.items():
         if len(key) == 3:
@@ -555,11 +587,41 @@ def test_memo_rows_built_from_halves_are_the_whole_rows_bit_for_bit(space):
     assert built > 0
 
 
+@pytest.mark.parametrize("solve", [below_half_cover, cluster_any_alpha])
+def test_each_block_row_reaches_space_distances_at_most_once_per_call(solve):
+    # a spy on space.distances never sees the same (block of the padded
+    # array, center) pair twice in one call; rows of the halfplus
+    # solver's reduced levels are copies and are not counted
+    inst = generate_planted("lp", n=1000, d=2, alpha=0.3, r=1.0, seed=2, mode="gap")
+    stores, seen = [], []
+
+    class Store(cover._BlockRows):
+        def __init__(self, ps, space):
+            super().__init__(ps, space)
+            stores.append(self)
+
+    class Spy(LpSpace):
+        def distances(self, points, center):
+            seen.append((points, center.tobytes()))
+            return super().distances(points, center)
+
+    with mock.patch.object(cover, "_BlockRows", Store):
+        solve(inst.ps, Spy(2.0, 2), 0.3, inst.r)
+    [store] = stores
+    pairs = [
+        (points.__array_interface__["data"][0], points.shape[0], c)
+        for points, c in seen
+        if np.shares_memory(points, store.points)
+    ]
+    assert pairs
+    assert len(pairs) == len(set(pairs))
+
+
 def test_lazy_below_half_recursion_skips_most_rows_of_the_eager_reference():
     # cluster_any_alpha stops at its first verified center; the eager
     # reference builds every candidate list in full.  Measured at n=1,024:
     # 14.3 rows per point lazily, 447.6 with the reference
     lazy = _gap_rows_per_point(cluster_any_alpha, 1024)
-    with mock.patch.object(cover, "_below_half_centers", _ref_below_half_centers):
+    with mock.patch.object(cover, "_below_half_centers", _ref_stand_in):
         eager = _gap_rows_per_point(cluster_any_alpha, 1024)
     assert 4.0 * lazy <= eager, (lazy, eager)

@@ -129,6 +129,12 @@ def test_centroid_refine_validates_containment_factor():
         centroid_refine(ps, L2_3, a=np.zeros(3), K=50.0, r=1.0, alpha=0.5)
 
 
+def test_centroid_refine_rejects_a_nan_containment_factor():
+    ps = WeightedPointSet.from_coords(np.zeros((2, 3)))
+    with pytest.raises(ArgumentError, match="K must be"):
+        centroid_refine(ps, L2_3, a=np.zeros(3), K=math.nan, r=1.0, alpha=0.75)
+
+
 def test_centroid_refine_degenerate_when_nothing_in_range():
     ps = WeightedPointSet.from_coords(np.zeros((3, 3)))
     far = np.array([1e6, 0.0, 0.0])
